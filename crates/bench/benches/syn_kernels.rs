@@ -1,5 +1,5 @@
-//! Per-kernel nanoseconds for the SYN hot path: lane accumulators, the
-//! packed real-FFT layer, and the three whole-context scan variants.
+//! Per-kernel nanoseconds for the SYN hot path: lane accumulators and the
+//! two whole-context scan variants.
 //!
 //! The workload lives in `rups_bench::syn_kernels` so the `bench_gate` CI
 //! binary measures exactly the same cases against the committed baseline
@@ -8,10 +8,9 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rups_bench::syn_kernels::{CONTEXT_M, N_CHANNELS, WINDOW_M};
 use rups_bench::{baseline, bench_config, synthetic_context};
-use rups_core::dsp;
 use rups_core::stats::PairSums;
 use rups_core::syn::{slide_scores, slide_scores_reference};
-use rups_core::syn_fast::slide_scores_fast;
+use rups_core::syn_fast::sum_sumsq;
 use rups_core::testfield;
 use rups_core::window::CheckWindow;
 
@@ -25,54 +24,13 @@ fn bench_lane_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("syn_kernels/lanes");
     let xs = row(3, 0, 4096);
     group.bench_function(BenchmarkId::new("sum_sumsq", 4096), |b| {
-        b.iter(|| dsp::sum_sumsq(std::hint::black_box(&xs)))
-    });
-    let (mut s, mut ss) = (Vec::new(), Vec::new());
-    group.bench_function(BenchmarkId::new("prefix_sums", 4096), |b| {
-        b.iter(|| dsp::prefix_sums_into(std::hint::black_box(&xs), &mut s, &mut ss))
+        b.iter(|| sum_sumsq(std::hint::black_box(&xs)))
     });
     let pa: Vec<f32> = (0..4096).map(|i| testfield::rssi(5, i as f64, 0)).collect();
     let pb: Vec<f32> = (0..4096).map(|i| testfield::rssi(5, i as f64, 1)).collect();
     group.bench_function(BenchmarkId::new("pair_accumulate", 4096), |b| {
         b.iter(|| PairSums::accumulate(std::hint::black_box(&pa), std::hint::black_box(&pb)))
     });
-    group.finish();
-}
-
-fn bench_fft_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("syn_kernels/fft");
-    let f = row(7, 0, WINDOW_M);
-    let s = row(7, 1, CONTEXT_M);
-    let size = dsp::corr_fft_size(WINDOW_M, CONTEXT_M);
-    let (mut work, mut xa, mut xb) = (Vec::new(), Vec::new(), Vec::new());
-    group.bench_function(BenchmarkId::new("real_fft_pair", size), |b| {
-        b.iter(|| {
-            dsp::real_spectra_pair_into(
-                std::hint::black_box(&f),
-                std::hint::black_box(&s[..WINDOW_M]),
-                true,
-                size,
-                &mut work,
-                &mut xa,
-                &mut xb,
-            )
-        })
-    });
-    let (mut da, mut db, mut dots) = (Vec::new(), Vec::new(), Vec::new());
-    group.bench_function(
-        BenchmarkId::new("sliding_dot", format!("{WINDOW_M}x{CONTEXT_M}")),
-        |b| {
-            b.iter(|| {
-                dsp::sliding_dot_into(
-                    std::hint::black_box(&f),
-                    std::hint::black_box(&s),
-                    &mut da,
-                    &mut db,
-                    &mut dots,
-                )
-            })
-        },
-    );
     group.finish();
 }
 
@@ -90,9 +48,6 @@ fn bench_scan_kernels(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("rolling", &id), |b| {
         b.iter(|| slide_scores(&fixed, fixed_start, &sliding, &window))
     });
-    group.bench_function(BenchmarkId::new("fft", &id), |b| {
-        b.iter(|| slide_scores_fast(&fixed, fixed_start, &sliding, &window).expect("dense input"))
-    });
     group.finish();
 }
 
@@ -106,12 +61,7 @@ fn write_baseline() {
     eprintln!("baseline written to {path}");
 }
 
-criterion_group!(
-    syn_kernels,
-    bench_lane_kernels,
-    bench_fft_kernels,
-    bench_scan_kernels
-);
+criterion_group!(syn_kernels, bench_lane_kernels, bench_scan_kernels);
 
 fn main() {
     syn_kernels();

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rups_bench::{bench_config, synthetic_context};
-use rups_core::syn::{find_best_syn, find_best_syn_fft, find_best_syn_parallel};
+use rups_core::syn::{find_best_syn, find_best_syn_parallel};
 use std::hint::black_box;
 
 /// Sweep the context length m (paper operating point: m = 1000).
@@ -68,9 +68,6 @@ fn bench_parallel(c: &mut Criterion) {
     });
     g.bench_function("rayon", |bench| {
         bench.iter(|| black_box(find_best_syn_parallel(black_box(&a), black_box(&b), &cfg)))
-    });
-    g.bench_function("fft", |bench| {
-        bench.iter(|| black_box(find_best_syn_fft(black_box(&a), black_box(&b), &cfg)))
     });
     g.finish();
 }

@@ -5,16 +5,15 @@
 //! The batched `syn_batch` workload answers "did the end-to-end fix get
 //! slower"; this one answers "which kernel". Each case isolates one
 //! primitive at the paper's working set (85 m window, 400 m sliding
-//! context, 24 channels), so a regression in e.g. the packed real-FFT
-//! split shows up against its own baseline instead of drowning in the
+//! context, 24 channels), so a regression in e.g. the lane accumulators
+//! shows up against its own baseline instead of drowning in the
 //! surrounding search.
 
 use crate::baseline::{self, Baseline, BenchCase};
 use crate::{bench_config, synthetic_context};
-use rups_core::dsp;
 use rups_core::stats::PairSums;
 use rups_core::syn::{slide_scores, slide_scores_reference};
-use rups_core::syn_fast::slide_scores_fast;
+use rups_core::syn_fast::sum_sumsq;
 use rups_core::testfield;
 use rups_core::window::CheckWindow;
 
@@ -56,12 +55,7 @@ pub fn measure(samples: usize) -> Baseline {
     // Lane-level accumulators.
     let xs = row(3, 0, 4096);
     case("sum_sumsq/4096", 256, &mut || {
-        std::hint::black_box(dsp::sum_sumsq(std::hint::black_box(&xs)));
-    });
-    let (mut ps, mut pss) = (Vec::new(), Vec::new());
-    case("prefix_sums/4096", 256, &mut || {
-        dsp::prefix_sums_into(std::hint::black_box(&xs), &mut ps, &mut pss);
-        std::hint::black_box((&ps, &pss));
+        std::hint::black_box(sum_sumsq(std::hint::black_box(&xs)));
     });
     let (pa, pb) = (row32(5, 0, 4096), row32(5, 1, 4096));
     case("pair_accumulate/4096", 256, &mut || {
@@ -71,39 +65,9 @@ pub fn measure(samples: usize) -> Baseline {
         ));
     });
 
-    // FFT layer: one packed forward pair and the full sliding dot product
-    // at the search geometry (window 85 against context 400 -> size 512).
-    let f = row(7, 0, WINDOW_M);
-    let s = row(7, 1, CONTEXT_M);
-    let size = dsp::corr_fft_size(WINDOW_M, CONTEXT_M);
-    let (mut work, mut xa, mut xb) = (Vec::new(), Vec::new(), Vec::new());
-    case("real_fft_pair/512", 64, &mut || {
-        dsp::real_spectra_pair_into(
-            std::hint::black_box(&f),
-            std::hint::black_box(&s[..WINDOW_M]),
-            true,
-            size,
-            &mut work,
-            &mut xa,
-            &mut xb,
-        );
-        std::hint::black_box((&xa, &xb));
-    });
-    let (mut da, mut db, mut dots) = (Vec::new(), Vec::new(), Vec::new());
-    case("sliding_dot/85x400", 64, &mut || {
-        dsp::sliding_dot_into(
-            std::hint::black_box(&f),
-            std::hint::black_box(&s),
-            &mut da,
-            &mut db,
-            &mut dots,
-        );
-        std::hint::black_box(&dots);
-    });
-
-    // Scan layer: the three whole-context scorers over dense 24-channel
-    // trajectories — the recompute-per-placement reference, the rolling
-    // incremental scan, and the packed-FFT fast path.
+    // Scan layer: the two whole-context scorers over dense 24-channel
+    // trajectories — the recompute-per-placement reference and the rolling
+    // incremental scan.
     let cfg = bench_config(N_CHANNELS, WINDOW_M, N_CHANNELS);
     let fixed = synthetic_context(11, 0, CONTEXT_M, N_CHANNELS);
     let sliding = synthetic_context(11, 20, CONTEXT_M, N_CHANNELS);
@@ -124,17 +88,6 @@ pub fn measure(samples: usize) -> Baseline {
             std::hint::black_box(&sliding),
             &window,
         ));
-    });
-    case("scan_fft/24x85x400", 8, &mut || {
-        std::hint::black_box(
-            slide_scores_fast(
-                std::hint::black_box(&fixed),
-                fixed_start,
-                std::hint::black_box(&sliding),
-                &window,
-            )
-            .expect("dense input"),
-        );
     });
 
     Baseline {
@@ -157,13 +110,9 @@ mod tests {
             ids,
             [
                 "sum_sumsq/4096",
-                "prefix_sums/4096",
                 "pair_accumulate/4096",
-                "real_fft_pair/512",
-                "sliding_dot/85x400",
                 "scan_reference/24x85x400",
                 "scan_rolling/24x85x400",
-                "scan_fft/24x85x400",
             ]
         );
         assert!(b.cases.iter().all(|c| c.median_ns_per_op > 0.0));
@@ -171,10 +120,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_scans_beat_the_recompute_reference() {
+    fn rolling_scan_beats_the_recompute_reference() {
         // Not a wall-clock gate (that is bench_gate's job) — a sanity check
-        // that the optimised scans are at least not slower than the scan
-        // they replace on this machine.
+        // that the rolling scan is at least not slower than the scan it
+        // replaces on this machine.
         let b = measure(3);
         let ns = |id: &str| {
             b.cases
@@ -185,6 +134,5 @@ mod tests {
         };
         let reference = ns("scan_reference/24x85x400");
         assert!(ns("scan_rolling/24x85x400") < reference);
-        assert!(ns("scan_fft/24x85x400") < reference);
     }
 }

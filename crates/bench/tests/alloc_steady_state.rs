@@ -1,8 +1,7 @@
 //! Steady-state allocation budget for the warm fix path.
 //!
-//! The engine's scratch arenas, memoised window entries, and cached packed
-//! spectra exist so that a warm query performs no per-channel or
-//! per-placement allocation. This test pins that down with a counting
+//! The engine's scratch arenas and memoised window entries exist so that a
+//! warm query performs no per-channel or per-placement allocation. This test pins that down with a counting
 //! global allocator: after a few warm-up queries, one more fix against the
 //! same neighbour must stay under a small constant allocation budget (the
 //! returned `DistanceFix` itself owns a couple of vectors; nothing in the
@@ -88,13 +87,12 @@ const MAX_ALLOCS_PER_WARM_QUERY: u64 = 64;
 #[test]
 fn warm_fix_path_stays_within_constant_allocation_budget() {
     // Two context lengths so the budget provably does not scale with the
-    // input: both are long enough (w = 85 >= 8*log2(m)) to keep the FFT
-    // kernel, the spectra caches, and the pruned peak scan on the hot path.
+    // input: both keep the rolling scan, the window memo, and the pruned
+    // peak search on the hot path.
     for context_m in [340usize, 480] {
         let node = build_node(21, context_m);
         let snap = neighbour(21, 20, context_m);
-        // Warm every layer: own-context rows and sliding spectra, window
-        // entries with their fixed sums and reversed spectra, and the
+        // Warm every layer: the own context, the window entries, and the
         // scratch-arena pool.
         for _ in 0..3 {
             node.fix_distance(&snap).unwrap();

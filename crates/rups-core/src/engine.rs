@@ -2,37 +2,30 @@
 //!
 //! Every distance query against a [`crate::pipeline::RupsNode`] used to
 //! recompute the same querying-side quantities from scratch: the
-//! interpolated own context, the per-window channel selections, the
-//! per-channel `f64` rows, their prefix sums and the fixed-window statistics
-//! of `[crate::syn_fast]`. Under tracking loads ("track a neighboring
-//! vehicle on every 0.1 second", §V-B) or convoy loads (tens of neighbours
-//! per epoch) those quantities are identical across queries — only the
-//! neighbour side changes.
+//! interpolated own context and the per-window channel selections. Under
+//! tracking loads ("track a neighboring vehicle on every 0.1 second",
+//! §V-B) or convoy loads (tens of neighbours per epoch) those quantities
+//! are identical across queries — only the neighbour side changes.
 //!
 //! [`SynQueryEngine`] precomputes them **once per context update** and
 //! answers any number of queries against the cached state:
 //!
 //! * the interpolated own context, rebuilt only when the context version
 //!   changes;
-//! * per-channel `f64` rows and memoised packed spectra over the dense
-//!   context (the sliding-side inputs of the FFT kernel);
-//! * per-`(len, end)` checking windows with their fixed-window sums and
-//!   memoised reversed spectra (the fixed-side inputs of the FFT kernel);
-//! * reusable scratch arenas (FFT work areas, conversion buffers, score
-//!   vectors), pooled so concurrent rayon queries allocate nothing in
-//!   steady state;
-//! * a per-batch kernel choice — reference scan vs FFT/prefix-sum scan —
-//!   driven by context density and length.
+//! * per-`(len, end)` checking windows (channel selection + threshold);
+//! * reusable scratch arenas (conversion buffers, rolling accumulators,
+//!   score vectors), pooled so concurrent rayon queries allocate nothing
+//!   in steady state.
 //!
-//! Scores are **bit-identical** to [`crate::syn::find_best_syn`] (reference
-//! kernel) and to [`crate::syn_fast::slide_scores_fast`] (FFT kernel): both
-//! kernels run the exact same arithmetic through shared helpers; the engine
-//! only changes *where* the inputs come from. Cache-hit and scratch-reuse
-//! counters are exported via [`SynQueryEngine::stats`] for the bench
-//! harness.
+//! Every directed pass runs the one dense scan of [`crate::syn_fast`] —
+//! rolling statistics with the exact pruned peak — and falls back to the
+//! reference scan when a selected row is non-finite. Results are
+//! **bit-identical** to [`crate::syn::find_syn_points`]: both run the same
+//! [`crate::syn`] pass helper; the engine only changes *where* the inputs
+//! come from. Cache-hit and scratch-reuse counters are exported via
+//! [`SynQueryEngine::stats`] for the bench harness.
 
 use crate::config::RupsConfig;
-use crate::dsp::{self, Complex};
 use crate::error::RupsError;
 use crate::gsm::GsmTrajectory;
 use crate::pipeline::{ContextSnapshot, DistanceFix};
@@ -47,34 +40,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Which sliding-scan kernel a query (or batch of queries) runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// The NaN-aware `O(mwk)` reference scan of [`crate::syn`].
-    Reference,
-    /// The `O(k·m log m)` FFT/prefix-sum scan of [`crate::syn_fast`],
-    /// falling back to the reference scan per directed pass whenever a
-    /// selected channel carries missing values.
-    Fft,
-}
-
-impl Kernel {
-    /// Stable lower-case name, for reports and artefacts.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Kernel::Reference => "reference",
-            Kernel::Fft => "fft",
-        }
-    }
-}
-
 /// Per-query diagnostics surfaced alongside a fix result, so a miss can be
-/// explained (which kernel ran, how many directed window passes were
-/// actually scanned before giving up).
+/// explained (how many directed window passes were actually scanned before
+/// giving up).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryDiag {
-    /// The kernel chosen for the batch this query ran in.
-    pub kernel: Kernel,
     /// Directed sliding passes (forward + reverse, across all SYN
     /// segments) that actually executed for this query.
     pub windows_scanned: u32,
@@ -90,26 +60,22 @@ pub struct EngineStats {
     pub queries: u64,
     /// Context lookups answered from the version-keyed cache.
     pub context_hits: u64,
-    /// Context rebuilds (interpolation + row conversion + prefix sums).
+    /// Context rebuilds (interpolation of the own context).
     pub context_rebuilds: u64,
     /// Checking-window lookups answered from the `(len, end)` memo.
     pub window_hits: u64,
-    /// Checking-window constructions (channel selection + fixed sums).
+    /// Checking-window constructions (channel selection + threshold).
     pub window_misses: u64,
     /// Scratch arenas reused from the pool.
     pub scratch_reuses: u64,
     /// Scratch arenas freshly allocated.
     pub scratch_allocs: u64,
-    /// Directed passes answered by the reference scan.
+    /// Directed passes scanned (rolling scan, or the reference scan when a
+    /// selected row is non-finite).
     pub reference_passes: u64,
-    /// Directed passes answered by the FFT scan.
-    pub fft_passes: u64,
-    /// Directed passes that requested the FFT scan but fell back to the
-    /// reference scan because a selected neighbour channel carried NaN.
-    pub fft_fallbacks: u64,
     /// Window placements whose mean-profile correlation the pruned peak
     /// search skipped because their exact score upper bound could not beat
-    /// the running best (FFT passes only).
+    /// the running best (rolling passes only).
     pub pruned_placements: u64,
 }
 
@@ -130,8 +96,6 @@ impl EngineStats {
             reference_passes: self
                 .reference_passes
                 .saturating_sub(earlier.reference_passes),
-            fft_passes: self.fft_passes.saturating_sub(earlier.fft_passes),
-            fft_fallbacks: self.fft_fallbacks.saturating_sub(earlier.fft_fallbacks),
             pruned_placements: self
                 .pruned_placements
                 .saturating_sub(earlier.pruned_placements),
@@ -178,8 +142,6 @@ struct EngineMetrics {
     scratch_reuses: Counter,
     scratch_allocs: Counter,
     reference_passes: Counter,
-    fft_passes: Counter,
-    fft_fallbacks: Counter,
     pruned_placements: Counter,
     query_ns: Histogram,
     context_rebuild_ns: Histogram,
@@ -199,8 +161,6 @@ impl EngineMetrics {
             scratch_reuses: reg.counter("rups_core_engine_scratch_reuses"),
             scratch_allocs: reg.counter("rups_core_engine_scratch_allocs"),
             reference_passes: reg.counter("rups_core_engine_reference_passes"),
-            fft_passes: reg.counter("rups_core_engine_fft_passes"),
-            fft_fallbacks: reg.counter("rups_core_engine_fft_fallbacks"),
             pruned_placements: reg.counter("rups_core_engine_pruned_placements"),
             query_ns: reg.histogram("rups_core_engine_query_ns"),
             context_rebuild_ns: reg.histogram("rups_core_engine_context_rebuild_ns"),
@@ -211,20 +171,6 @@ impl EngineMetrics {
     }
 }
 
-/// A channel pair's packed sliding-row spectra (`b` empty for a lone
-/// trailing channel). Cached because the packing makes each channel's
-/// spectrum partner-dependent in floating point: a cache hit must return
-/// exactly what a fresh [`dsp::real_spectra_pair_into`] over the same pair
-/// would produce.
-struct SpectraPair {
-    a: Vec<Complex>,
-    b: Vec<Complex>,
-}
-
-/// Cache key for [`SpectraPair`]: `(fft_size, ch_a, ch_b)`, with
-/// `usize::MAX` as the lone-channel sentinel.
-type SpectraKey = (usize, usize, usize);
-
 /// The querying vehicle's context, fully preprocessed for matching.
 pub(crate) struct OwnContext {
     /// Version stamp of the raw context this was built from.
@@ -233,16 +179,6 @@ pub(crate) struct OwnContext {
     /// exactly what `RupsNode::own_matching_context` used to rebuild per
     /// query.
     gsm: GsmTrajectory,
-    /// True when every cell of `gsm` is finite (FFT and rolling kernels
-    /// applicable).
-    dense: bool,
-    /// Per-channel `f64` rows of `gsm` (dense contexts only).
-    rows64: Vec<Vec<f64>>,
-    /// Packed spectra of the own sliding rows, keyed by transform size and
-    /// channel pair: the sliding-side inputs of every reverse FFT pass,
-    /// shared across all neighbours and segments. Lazily filled because
-    /// the transform size depends on the query's window length.
-    sliding_spectra: RwLock<HashMap<SpectraKey, Arc<SpectraPair>>>,
 }
 
 impl OwnContext {
@@ -252,57 +188,7 @@ impl OwnContext {
         } else {
             raw.clone()
         };
-        let n = gsm.n_channels();
-        let dense = (0..n).all(|ch| gsm.channel(ch).iter().all(|v| v.is_finite()));
-        let rows64 = if dense {
-            (0..n)
-                .map(|ch| gsm.channel(ch).iter().map(|&v| v as f64).collect())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Self {
-            version,
-            gsm,
-            dense,
-            rows64,
-            sliding_spectra: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// The cached packed spectra of own rows `(ch_a, ch_b)` at `size`,
-    /// computing and memoising them on first use. The caller's scratch
-    /// buffers stage the computation; the cached copy is what every later
-    /// hit returns, bit-identical to a fresh evaluation.
-    fn sliding_spectra(
-        &self,
-        size: usize,
-        ch_a: usize,
-        ch_b: Option<usize>,
-        work: &mut Vec<Complex>,
-        xa: &mut Vec<Complex>,
-        xb: &mut Vec<Complex>,
-    ) -> Arc<SpectraPair> {
-        let key = (size, ch_a, ch_b.unwrap_or(usize::MAX));
-        if let Some(p) = self
-            .sliding_spectra
-            .read()
-            .expect("own-context spectra lock poisoned")
-            .get(&key)
-        {
-            return Arc::clone(p);
-        }
-        let b: &[f64] = ch_b.map_or(&[], |ch| &self.rows64[ch]);
-        dsp::real_spectra_pair_into(&self.rows64[ch_a], b, false, size, work, xa, xb);
-        let pair = Arc::new(SpectraPair {
-            a: xa.clone(),
-            b: xb.clone(),
-        });
-        self.sliding_spectra
-            .write()
-            .expect("own-context spectra lock poisoned")
-            .insert(key, Arc::clone(&pair));
-        pair
+        Self { version, gsm }
     }
 
     /// The preprocessed matching context.
@@ -313,28 +199,12 @@ impl OwnContext {
 
 /// Window memo keyed by `(len, end)` placement; `None` records placements
 /// that resolve to no window, so misses are cached too.
-type WindowMemo = HashMap<(usize, usize), Option<Arc<WindowEntry>>>;
-
-/// A memoised checking window plus the fixed-side statistics of the FFT
-/// kernel for its exact `[end − len, end)` placement on the own context.
-struct WindowEntry {
-    window: CheckWindow,
-    /// Per window-channel `(Σx, Σx²)` over the own fixed slice, computed
-    /// with the same [`dsp::sum_sumsq`] reduction as [`crate::syn_fast`]
-    /// (dense contexts only; empty otherwise).
-    fixed_sums: Vec<(f64, f64)>,
-    /// Packed time-reversed spectra of the fixed slice, one per window
-    /// channel, keyed by transform size (which depends on the neighbour's
-    /// context length). Channels are packed pairwise in window order —
-    /// exactly how a fresh forward pass pairs them — so the cached spectra
-    /// are bit-identical to fresh ones.
-    spectra: RwLock<HashMap<usize, Arc<Vec<Vec<Complex>>>>>,
-}
+type WindowMemo = HashMap<(usize, usize), Option<Arc<CheckWindow>>>;
 
 /// Per-query scratch arena: every buffer a directed pass needs, reused
-/// across queries via the engine's pool. The dense-kernel buffers are the
-/// shared [`syn_fast::DenseScratch`] so the engine's FFT passes and the
-/// standalone entry points stage their work identically.
+/// across queries via the engine's pool. It is the shared
+/// [`syn_fast::DenseScratch`], so the engine's passes and the standalone
+/// entry points stage their work identically.
 type Scratch = syn_fast::DenseScratch;
 
 /// Caching, batching SYN-query engine (see the module docs).
@@ -501,8 +371,6 @@ impl SynQueryEngine {
             scratch_reuses: m.scratch_reuses.get(),
             scratch_allocs: m.scratch_allocs.get(),
             reference_passes: m.reference_passes.get(),
-            fft_passes: m.fft_passes.get(),
-            fft_fallbacks: m.fft_fallbacks.get(),
             pruned_placements: m.pruned_placements.get(),
         }
     }
@@ -521,39 +389,9 @@ impl SynQueryEngine {
             &m.scratch_reuses,
             &m.scratch_allocs,
             &m.reference_passes,
-            &m.fft_passes,
-            &m.fft_fallbacks,
             &m.pruned_placements,
         ] {
             c.reset();
-        }
-    }
-
-    /// The kernel the engine would pick for one query against a neighbour
-    /// context of `their_len` metres, given the installed own context
-    /// ([`Kernel::Reference`] when none is installed).
-    pub fn choose_kernel(&self, their_len: usize) -> Kernel {
-        match self.current_ctx() {
-            Some(ctx) => self.kernel_for(&ctx, their_len),
-            None => Kernel::Reference,
-        }
-    }
-
-    /// Density/length heuristic: the FFT scan costs `O(k·m log m)` with a
-    /// hefty constant (from-scratch radix-2 FFT) against the reference
-    /// scan's `O(k·m·w)`, so it pays off once the window is comfortably
-    /// wider than `log₂ m`.
-    pub(crate) fn kernel_for(&self, ctx: &OwnContext, their_len: usize) -> Kernel {
-        if !ctx.dense {
-            return Kernel::Reference;
-        }
-        let shorter = ctx.gsm.len().min(their_len);
-        let w = syn::adaptive_window_len(shorter, &self.cfg);
-        let m = ctx.gsm.len().max(their_len).max(2);
-        if w as f64 >= 8.0 * (m as f64).log2() {
-            Kernel::Fft
-        } else {
-            Kernel::Reference
         }
     }
 
@@ -581,9 +419,8 @@ impl SynQueryEngine {
         r
     }
 
-    /// Memoised equivalent of `CheckWindow::with_len(own, cfg, len, end)`
-    /// plus the FFT fixed-side sums for that placement.
-    fn window_entry(&self, ctx: &OwnContext, len: usize, end: usize) -> Option<Arc<WindowEntry>> {
+    /// Memoised equivalent of `CheckWindow::with_len(own, cfg, len, end)`.
+    fn window_entry(&self, ctx: &OwnContext, len: usize, end: usize) -> Option<Arc<CheckWindow>> {
         let key = (len, end);
         if let Some(e) = self
             .windows
@@ -600,22 +437,7 @@ impl SynQueryEngine {
         self.metrics.window_misses.inc();
         let _t = self.metrics.window_build_ns.start_timer();
         let _s = self.spans.as_ref().map(|s| s.span("engine.window_build"));
-        let entry = CheckWindow::with_len(&ctx.gsm, &self.cfg, len, end).map(|window| {
-            let fixed_sums = if ctx.dense {
-                window
-                    .channels
-                    .iter()
-                    .map(|&ch| dsp::sum_sumsq(&ctx.rows64[ch][end - len..end]))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            Arc::new(WindowEntry {
-                window,
-                fixed_sums,
-                spectra: RwLock::new(HashMap::new()),
-            })
-        });
+        let entry = CheckWindow::with_len(&ctx.gsm, &self.cfg, len, end).map(Arc::new);
         self.windows
             .write()
             .expect("engine window lock poisoned")
@@ -627,28 +449,22 @@ impl SynQueryEngine {
     // Queries
     // ------------------------------------------------------------------
 
-    /// Multi-SYN search against the installed context, with the kernel
-    /// picked automatically. Semantics (and, for the reference kernel,
-    /// bits) match [`crate::syn::find_syn_points`] run against the same
+    /// Multi-SYN search against the installed context. Semantics and bits
+    /// match [`crate::syn::find_syn_points`] run against the same
     /// interpolated context.
     pub fn find_syn_points(&self, theirs: &GsmTrajectory) -> Result<Vec<SynPoint>, RupsError> {
-        let ctx = self.current_ctx();
-        let kernel = match &ctx {
-            Some(c) => self.kernel_for(c, theirs.len()),
-            None => Kernel::Reference,
-        };
-        self.find_syn_points_in(ctx, theirs, kernel, false)
+        self.find_syn_points_in(self.current_ctx(), theirs, false)
     }
 
-    /// [`find_syn_points`](Self::find_syn_points) with an explicit kernel
-    /// and (for the reference kernel) rayon-parallel placement scoring.
+    /// [`find_syn_points`](Self::find_syn_points) with rayon-parallel
+    /// placement scoring on the sparse fallback when `parallel` is set
+    /// (bit-identical to [`crate::syn::find_syn_points_parallel`]).
     pub fn find_syn_points_with(
         &self,
         theirs: &GsmTrajectory,
-        kernel: Kernel,
         parallel: bool,
     ) -> Result<Vec<SynPoint>, RupsError> {
-        self.find_syn_points_in(self.current_ctx(), theirs, kernel, parallel)
+        self.find_syn_points_in(self.current_ctx(), theirs, parallel)
     }
 
     /// Best single SYN point (the first entry of the multi-SYN search, like
@@ -666,9 +482,8 @@ impl SynQueryEngine {
     }
 
     /// Fixes distances to a whole epoch of neighbours in one rayon
-    /// work-stealing pass, preserving input order. The kernel is chosen
-    /// once per batch from the own-context density and the median
-    /// neighbour length; scratch arenas are pooled across the tasks.
+    /// work-stealing pass, preserving input order; scratch arenas are
+    /// pooled across the tasks.
     pub fn fix_batch(&self, neighbours: &[ContextSnapshot]) -> Vec<Result<DistanceFix, RupsError>> {
         match self.current_ctx() {
             Some(ctx) => self.fix_batch_ctx(&ctx, neighbours),
@@ -702,32 +517,21 @@ impl SynQueryEngine {
         ctx: &Arc<OwnContext>,
         neighbours: &[ContextSnapshot],
     ) -> Vec<(Result<DistanceFix, RupsError>, QueryDiag)> {
-        let kernel = self.batch_kernel(ctx, neighbours);
         neighbours
             .par_iter()
             .map(|nb| {
                 let mut scanned = 0u32;
                 let res = self
-                    .query_ctx_counted(ctx, &nb.gsm, kernel, false, &mut scanned, nb.trace)
+                    .query_ctx_counted(ctx, &nb.gsm, false, &mut scanned, nb.trace)
                     .and_then(|points| self.build_fix(ctx.gsm.len(), nb.gsm.len(), points));
                 (
                     res,
                     QueryDiag {
-                        kernel,
                         windows_scanned: scanned,
                     },
                 )
             })
             .collect()
-    }
-
-    fn batch_kernel(&self, ctx: &OwnContext, neighbours: &[ContextSnapshot]) -> Kernel {
-        if neighbours.is_empty() {
-            return Kernel::Reference;
-        }
-        let mut lens: Vec<usize> = neighbours.iter().map(|n| n.gsm.len()).collect();
-        lens.sort_unstable();
-        self.kernel_for(ctx, lens[lens.len() / 2])
     }
 
     pub(crate) fn build_fix(
@@ -756,11 +560,10 @@ impl SynQueryEngine {
         &self,
         ctx: Option<Arc<OwnContext>>,
         theirs: &GsmTrajectory,
-        kernel: Kernel,
         parallel: bool,
     ) -> Result<Vec<SynPoint>, RupsError> {
         match ctx {
-            Some(ctx) => self.query_ctx(&ctx, theirs, kernel, parallel),
+            Some(ctx) => self.query_ctx(&ctx, theirs, parallel),
             None => Err(RupsError::InsufficientContext {
                 available_m: 0,
                 required_m: self.cfg.min_window_len_m.max(2),
@@ -776,11 +579,10 @@ impl SynQueryEngine {
         &self,
         ctx: &OwnContext,
         theirs: &GsmTrajectory,
-        kernel: Kernel,
         parallel: bool,
     ) -> Result<Vec<SynPoint>, RupsError> {
         let mut scanned = 0u32;
-        self.query_ctx_counted(ctx, theirs, kernel, parallel, &mut scanned, None)
+        self.query_ctx_counted(ctx, theirs, parallel, &mut scanned, None)
     }
 
     /// [`query_ctx`](Self::query_ctx) that counts the directed sliding
@@ -791,7 +593,6 @@ impl SynQueryEngine {
         &self,
         ctx: &OwnContext,
         theirs: &GsmTrajectory,
-        kernel: Kernel,
         parallel: bool,
         scanned: &mut u32,
         trace: Option<TraceContext>,
@@ -826,15 +627,15 @@ impl SynQueryEngine {
         }
         self.with_scratch(|scratch| {
             // Most recent segment: the full double-sliding check.
-            let entry = self
+            let window = self
                 .window_entry(ctx, w, ours.len())
                 .ok_or_else(too_short)?;
             *scanned += 1;
-            let fwd = self.directed_fwd(ctx, &entry, ours.len(), theirs, kernel, parallel, scratch);
+            let fwd = self.directed(ours, ours.len(), theirs, &window, parallel, scratch);
             let rev = CheckWindow::with_len(theirs, &self.cfg, w, theirs.len())
                 .and_then(|wnd| {
                     *scanned += 1;
-                    self.directed_rev(ctx, &wnd, theirs.len(), theirs, kernel, parallel, scratch)
+                    self.directed(theirs, theirs.len(), ours, &wnd, parallel, scratch)
                 })
                 .map(syn::swap_perspective);
             let best = match syn::better_pass(fwd, rev) {
@@ -842,14 +643,14 @@ impl SynQueryEngine {
                 None => {
                     return Err(RupsError::NoSynPoint {
                         best_score: f64::NEG_INFINITY,
-                        threshold: entry.window.threshold,
+                        threshold: window.threshold,
                     })
                 }
             };
-            if best.score < entry.window.threshold {
+            if best.score < window.threshold {
                 return Err(RupsError::NoSynPoint {
                     best_score: best.score,
-                    threshold: entry.window.threshold,
+                    threshold: window.threshold,
                 });
             }
             let mut points = vec![best];
@@ -860,10 +661,10 @@ impl SynQueryEngine {
                     .checked_sub(s * self.cfg.syn_segment_stride_m)
                     .filter(|&end| end >= w)
                     .and_then(|end| self.window_entry(ctx, w, end).map(|e| (end, e)))
-                    .and_then(|(end, e)| {
+                    .and_then(|(end, wnd)| {
                         *scanned += 1;
-                        self.directed_fwd(ctx, &e, end, theirs, kernel, parallel, scratch)
-                            .filter(|p| p.score >= e.window.threshold)
+                        self.directed(ours, end, theirs, &wnd, parallel, scratch)
+                            .filter(|p| p.score >= wnd.threshold)
                     });
                 let rev = theirs
                     .len()
@@ -874,7 +675,7 @@ impl SynQueryEngine {
                     })
                     .and_then(|(end, wnd)| {
                         *scanned += 1;
-                        self.directed_rev(ctx, &wnd, end, theirs, kernel, parallel, scratch)
+                        self.directed(theirs, end, ours, &wnd, parallel, scratch)
                             .filter(|p| p.score >= wnd.threshold)
                     })
                     .map(syn::swap_perspective);
@@ -886,55 +687,28 @@ impl SynQueryEngine {
         })
     }
 
-    /// Forward directed pass: the own window `[end − w, end)` (cached
-    /// channels + fixed sums) slid over the neighbour trajectory.
-    #[allow(clippy::too_many_arguments)]
-    fn directed_fwd(
+    /// One directed pass: the window of `fixed` ending at `end` slid over
+    /// all of `sliding`. Forward passes anchor the own context (cached
+    /// window); reverse passes anchor the neighbour's, and the caller swaps
+    /// the hit into our perspective.
+    fn directed(
         &self,
-        ctx: &OwnContext,
-        entry: &WindowEntry,
+        fixed: &GsmTrajectory,
         end: usize,
-        theirs: &GsmTrajectory,
-        kernel: Kernel,
+        sliding: &GsmTrajectory,
+        window: &CheckWindow,
         parallel: bool,
         scratch: &mut Scratch,
     ) -> Option<SynPoint> {
-        let w = entry.window.len_m;
-        if end < w || theirs.len() < w {
+        let w = window.len_m;
+        if end < w || sliding.len() < w {
             return None;
         }
         let scan_t = self.metrics.kernel_scan_ns.start_timer();
         let scan_s = self.spans.as_ref().map(|s| s.span("engine.kernel_scan"));
-        let fft_peak = if kernel == Kernel::Fft && ctx.dense {
-            self.fft_peak_own_fixed(ctx, entry, end, theirs, scratch)
-        } else {
-            None
-        };
-        let best = match fft_peak {
-            Some(p) => {
-                self.metrics.fft_passes.inc();
-                p
-            }
-            None => {
-                if kernel == Kernel::Fft {
-                    self.metrics.fft_fallbacks.inc();
-                }
-                self.metrics.reference_passes.inc();
-                if parallel {
-                    scratch.scores =
-                        syn::slide_scores_parallel(&ctx.gsm, end - w, theirs, &entry.window);
-                } else {
-                    syn::slide_scores_into(
-                        &ctx.gsm,
-                        end - w,
-                        theirs,
-                        &entry.window,
-                        &mut scratch.scores,
-                    );
-                }
-                syn::peak(&scratch.scores)
-            }
-        };
+        self.metrics.reference_passes.inc();
+        let (best, pruned) = syn::pass_peak(fixed, end - w, sliding, window, parallel, scratch);
+        self.metrics.pruned_placements.add(pruned);
         drop(scan_t);
         drop(scan_s);
         let (j, score, refine) = best?;
@@ -945,333 +719,6 @@ impl SynQueryEngine {
             score,
             window_len: w,
         })
-    }
-
-    /// Reverse directed pass: the neighbour window `[end − w, end)` slid
-    /// over the own trajectory (cached rows + prefix sums). Returns the hit
-    /// from the *neighbour's* perspective; the caller swaps it.
-    #[allow(clippy::too_many_arguments)]
-    fn directed_rev(
-        &self,
-        ctx: &OwnContext,
-        window: &CheckWindow,
-        end: usize,
-        theirs: &GsmTrajectory,
-        kernel: Kernel,
-        parallel: bool,
-        scratch: &mut Scratch,
-    ) -> Option<SynPoint> {
-        let w = window.len_m;
-        if end < w || ctx.gsm.len() < w {
-            return None;
-        }
-        let scan_t = self.metrics.kernel_scan_ns.start_timer();
-        let scan_s = self.spans.as_ref().map(|s| s.span("engine.kernel_scan"));
-        let fft_peak = if kernel == Kernel::Fft && ctx.dense {
-            self.fft_peak_their_fixed(ctx, window, end, theirs, scratch)
-        } else {
-            None
-        };
-        let best = match fft_peak {
-            Some(p) => {
-                self.metrics.fft_passes.inc();
-                p
-            }
-            None => {
-                if kernel == Kernel::Fft {
-                    self.metrics.fft_fallbacks.inc();
-                }
-                self.metrics.reference_passes.inc();
-                if parallel {
-                    scratch.scores = syn::slide_scores_parallel(theirs, end - w, &ctx.gsm, window);
-                } else {
-                    syn::slide_scores_into(theirs, end - w, &ctx.gsm, window, &mut scratch.scores);
-                }
-                syn::peak(&scratch.scores)
-            }
-        };
-        drop(scan_t);
-        drop(scan_s);
-        let (j, score, refine) = best?;
-        Some(SynPoint {
-            self_end: end,
-            other_end: j + w,
-            refine_m: refine,
-            score,
-            window_len: w,
-        })
-    }
-
-    /// The memoised packed reversed spectra of `entry`'s fixed slice at
-    /// `size`, built on first use from the cached `f64` rows (channels
-    /// paired in window order, exactly like a fresh forward pass).
-    fn fixed_spectra(
-        &self,
-        ctx: &OwnContext,
-        entry: &WindowEntry,
-        end: usize,
-        size: usize,
-        s: &mut Scratch,
-    ) -> Arc<Vec<Vec<Complex>>> {
-        if let Some(sp) = entry
-            .spectra
-            .read()
-            .expect("window spectra lock poisoned")
-            .get(&size)
-        {
-            return Arc::clone(sp);
-        }
-        let window = &entry.window;
-        let w = window.len_m;
-        let k = window.channels.len();
-        let mut out: Vec<Vec<Complex>> = Vec::with_capacity(k);
-        let mut ci = 0usize;
-        while ci < k {
-            let ch_a = window.channels[ci];
-            let ch_b = window.channels.get(ci + 1).copied();
-            let fixed_a = &ctx.rows64[ch_a][end - w..end];
-            let fixed_b: &[f64] = ch_b.map_or(&[], |ch| &ctx.rows64[ch][end - w..end]);
-            dsp::real_spectra_pair_into(
-                fixed_a,
-                fixed_b,
-                true,
-                size,
-                &mut s.work,
-                &mut s.spec_fa,
-                &mut s.spec_fb,
-            );
-            out.push(s.spec_fa.clone());
-            if ch_b.is_some() {
-                out.push(s.spec_fb.clone());
-            }
-            ci += 2;
-        }
-        let arc = Arc::new(out);
-        entry
-            .spectra
-            .write()
-            .expect("window spectra lock poisoned")
-            .insert(size, Arc::clone(&arc));
-        arc
-    }
-
-    /// FFT forward pass: own window fixed (cached sums + cached reversed
-    /// spectra), neighbour rows sliding. Returns the pruned peak, or `None`
-    /// (caller falls back) when a selected neighbour row carries a
-    /// non-finite value; the own side is dense by precondition.
-    fn fft_peak_own_fixed(
-        &self,
-        ctx: &OwnContext,
-        entry: &WindowEntry,
-        end: usize,
-        theirs: &GsmTrajectory,
-        s: &mut Scratch,
-    ) -> Option<Option<(usize, f64, f64)>> {
-        let window = &entry.window;
-        let w = window.len_m;
-        let n_pos = theirs.len() - w + 1;
-        for &ch in &window.channels {
-            if theirs.channel(ch).iter().any(|v| !v.is_finite()) {
-                return None;
-            }
-        }
-        let k = window.channels.len();
-        let size = dsp::corr_fft_size(w, theirs.len());
-        let fixed_spectra = self.fixed_spectra(ctx, entry, end, size, s);
-        s.prepare(n_pos, k);
-        let mut ci = 0usize;
-        while ci < k {
-            let ch_a = window.channels[ci];
-            let ch_b = window.channels.get(ci + 1).copied();
-            s.s64a.clear();
-            s.s64a
-                .extend(theirs.channel(ch_a).iter().map(|&v| v as f64));
-            s.s64b.clear();
-            if let Some(ch_b) = ch_b {
-                s.s64b
-                    .extend(theirs.channel(ch_b).iter().map(|&v| v as f64));
-            }
-            dsp::real_spectra_pair_into(
-                &s.s64a,
-                &s.s64b,
-                false,
-                size,
-                &mut s.work,
-                &mut s.spec_sa,
-                &mut s.spec_sb,
-            );
-            let fb: &[Complex] = if ch_b.is_some() {
-                &fixed_spectra[ci + 1]
-            } else {
-                &[]
-            };
-            dsp::corr_from_spectra_pair_into(
-                &fixed_spectra[ci],
-                &s.spec_sa,
-                fb,
-                &s.spec_sb,
-                w,
-                n_pos,
-                &mut s.work,
-                &mut s.dots_a,
-                &mut s.dots_b,
-            );
-            let (sum_f, sumsq_f) = entry.fixed_sums[ci];
-            let row = &mut s.mean_s[ci];
-            row.clear();
-            let mf = syn_fast::accumulate_dense_channel(
-                w,
-                n_pos,
-                sum_f,
-                sumsq_f,
-                &s.dots_a,
-                &s.s64a,
-                &mut s.chan_sum,
-                &mut s.chan_n,
-                row,
-            );
-            s.mean_f.push(mf);
-            if ch_b.is_some() {
-                let (sum_f, sumsq_f) = entry.fixed_sums[ci + 1];
-                let row = &mut s.mean_s[ci + 1];
-                row.clear();
-                let mf = syn_fast::accumulate_dense_channel(
-                    w,
-                    n_pos,
-                    sum_f,
-                    sumsq_f,
-                    &s.dots_b,
-                    &s.s64b,
-                    &mut s.chan_sum,
-                    &mut s.chan_n,
-                    row,
-                );
-                s.mean_f.push(mf);
-            }
-            ci += 2;
-        }
-        let (peak, pruned) = syn_fast::combine_dense_peak(
-            n_pos,
-            &s.mean_f,
-            &s.mean_s[..k],
-            &s.chan_sum,
-            &s.chan_n,
-            &mut s.profile,
-        );
-        self.metrics.pruned_placements.add(pruned);
-        Some(peak)
-    }
-
-    /// FFT reverse pass: neighbour window fixed (staged fresh), own rows
-    /// sliding — their packed spectra come straight from the context cache,
-    /// and the rolling window statistics read the cached `f64` rows.
-    /// Returns the pruned peak, or `None` when the neighbour window slice
-    /// carries a non-finite value.
-    fn fft_peak_their_fixed(
-        &self,
-        ctx: &OwnContext,
-        window: &CheckWindow,
-        end: usize,
-        theirs: &GsmTrajectory,
-        s: &mut Scratch,
-    ) -> Option<Option<(usize, f64, f64)>> {
-        let w = window.len_m;
-        let n_pos = ctx.gsm.len() - w + 1;
-        for &ch in &window.channels {
-            if theirs.channel(ch)[end - w..end]
-                .iter()
-                .any(|v| !v.is_finite())
-            {
-                return None;
-            }
-        }
-        let k = window.channels.len();
-        let size = dsp::corr_fft_size(w, ctx.gsm.len());
-        s.prepare(n_pos, k);
-        let mut ci = 0usize;
-        while ci < k {
-            let ch_a = window.channels[ci];
-            let ch_b = window.channels.get(ci + 1).copied();
-            s.f64a.clear();
-            s.f64a
-                .extend(theirs.channel(ch_a)[end - w..end].iter().map(|&v| v as f64));
-            s.f64b.clear();
-            if let Some(ch_b) = ch_b {
-                s.f64b
-                    .extend(theirs.channel(ch_b)[end - w..end].iter().map(|&v| v as f64));
-            }
-            dsp::real_spectra_pair_into(
-                &s.f64a,
-                &s.f64b,
-                true,
-                size,
-                &mut s.work,
-                &mut s.spec_fa,
-                &mut s.spec_fb,
-            );
-            let sliding = ctx.sliding_spectra(
-                size,
-                ch_a,
-                ch_b,
-                &mut s.work,
-                &mut s.spec_sa,
-                &mut s.spec_sb,
-            );
-            dsp::corr_from_spectra_pair_into(
-                &s.spec_fa,
-                &sliding.a,
-                &s.spec_fb,
-                &sliding.b,
-                w,
-                n_pos,
-                &mut s.work,
-                &mut s.dots_a,
-                &mut s.dots_b,
-            );
-            let (sum_f, sumsq_f) = dsp::sum_sumsq(&s.f64a);
-            let row = &mut s.mean_s[ci];
-            row.clear();
-            let mf = syn_fast::accumulate_dense_channel(
-                w,
-                n_pos,
-                sum_f,
-                sumsq_f,
-                &s.dots_a,
-                &ctx.rows64[ch_a],
-                &mut s.chan_sum,
-                &mut s.chan_n,
-                row,
-            );
-            s.mean_f.push(mf);
-            if let Some(ch_b) = ch_b {
-                let (sum_f, sumsq_f) = dsp::sum_sumsq(&s.f64b);
-                let row = &mut s.mean_s[ci + 1];
-                row.clear();
-                let mf = syn_fast::accumulate_dense_channel(
-                    w,
-                    n_pos,
-                    sum_f,
-                    sumsq_f,
-                    &s.dots_b,
-                    &ctx.rows64[ch_b],
-                    &mut s.chan_sum,
-                    &mut s.chan_n,
-                    row,
-                );
-                s.mean_f.push(mf);
-            }
-            ci += 2;
-        }
-        let (peak, pruned) = syn_fast::combine_dense_peak(
-            n_pos,
-            &s.mean_f,
-            &s.mean_s[..k],
-            &s.chan_sum,
-            &s.chan_n,
-            &mut s.profile,
-        );
-        self.metrics.pruned_placements.add(pruned);
-        Some(peak)
     }
 }
 
@@ -1302,33 +749,33 @@ mod tests {
 
     #[test]
     fn reference_kernel_is_bit_identical_to_syn() {
-        let ours = traj(11, 0, 400, 24);
-        let theirs = traj(11, 70, 400, 24);
-        let c = cfg(24);
-        let engine = SynQueryEngine::new(c.clone());
-        engine.set_context(&ours);
-        let expect = syn::find_syn_points(&ours, &theirs, &c).unwrap();
-        let got = engine
-            .find_syn_points_with(&theirs, Kernel::Reference, false)
-            .unwrap();
-        assert_eq!(expect.len(), got.len());
-        for (e, g) in expect.iter().zip(&got) {
-            assert_eq!(e, g, "engine must replicate the reference bit-for-bit");
+        // A small geometry and the paper's: 194 channels, 1000 m contexts,
+        // an 85 m × 45-channel window and 5 SYN points.
+        let cases = [
+            (traj(11, 0, 400, 24), traj(11, 70, 400, 24), cfg(24)),
+            (
+                traj(11, 0, 1000, 194),
+                traj(11, 70, 1000, 194),
+                RupsConfig::default(),
+            ),
+        ];
+        for (ours, theirs, c) in cases {
+            let engine = SynQueryEngine::new(c.clone());
+            engine.set_context(&ours);
+            let expect = syn::find_syn_points(&ours, &theirs, &c).unwrap();
+            let got = engine.find_syn_points(&theirs).unwrap();
+            assert_eq!(expect.len(), got.len());
+            for (e, g) in expect.iter().zip(&got) {
+                assert_eq!(e, g, "engine must replicate the reference bit-for-bit");
+                assert_eq!(e.score.to_bits(), g.score.to_bits());
+                assert_eq!(e.refine_m.to_bits(), g.refine_m.to_bits());
+            }
+            let s = engine.stats();
+            assert!(
+                s.pruned_placements > 0,
+                "dense passes must prune placements: {s:?}"
+            );
         }
-    }
-
-    #[test]
-    fn fft_kernel_is_bit_identical_to_syn_fast_entry_point() {
-        let ours = traj(12, 0, 400, 24);
-        let theirs = traj(12, 55, 400, 24);
-        let c = cfg(24);
-        let engine = SynQueryEngine::new(c.clone());
-        engine.set_context(&ours);
-        let expect = syn::find_syn_points_fft(&ours, &theirs, &c).unwrap();
-        let got = engine
-            .find_syn_points_with(&theirs, Kernel::Fft, false)
-            .unwrap();
-        assert_eq!(expect, got);
     }
 
     #[test]
@@ -1387,7 +834,7 @@ mod tests {
     }
 
     #[test]
-    fn fft_falls_back_per_pass_on_sparse_neighbours() {
+    fn sparse_neighbours_fall_back_to_the_reference_scan() {
         let ours = traj(15, 0, 300, 12);
         let mut rows: Vec<Vec<f32>> = (0..12)
             .map(|ch| traj(15, 40, 300, 12).channel(ch).to_vec())
@@ -1400,15 +847,11 @@ mod tests {
         };
         let engine = SynQueryEngine::new(c.clone());
         engine.set_context(&ours);
-        let got = engine
-            .find_syn_points_with(&theirs, Kernel::Fft, false)
-            .unwrap();
-        let expect = syn::find_syn_points_fft(&ours, &theirs, &c).unwrap();
-        assert_eq!(expect, got);
-        assert!(
-            engine.stats().fft_fallbacks > 0,
-            "NaN neighbour rows must trigger the reference fallback"
-        );
+        for parallel in [false, true] {
+            let got = engine.find_syn_points_with(&theirs, parallel).unwrap();
+            let expect = syn::find_syn_points(&ours, &theirs, &c).unwrap();
+            assert_eq!(expect, got, "parallel={parallel}");
+        }
     }
 
     #[test]

@@ -69,7 +69,6 @@
 pub mod binding;
 pub mod channel;
 pub mod config;
-pub mod dsp;
 pub mod engine;
 pub mod error;
 pub mod geo;
@@ -93,7 +92,7 @@ pub mod prelude {
     pub use crate::binding::{ScanSample, TrajectoryBinder};
     pub use crate::channel::{ChannelId, Rssi, RGSM_900_CHANNELS};
     pub use crate::config::{AggregationScheme, RupsConfig};
-    pub use crate::engine::{EngineStats, Kernel, QueryDiag, SynQueryEngine};
+    pub use crate::engine::{EngineStats, QueryDiag, SynQueryEngine};
     pub use crate::error::RupsError;
     pub use crate::geo::{GeoSample, GeoTrajectory};
     pub use crate::gsm::{GsmTrajectory, PowerVector};
@@ -110,7 +109,7 @@ pub mod prelude {
 pub use binding::{ScanSample, TrajectoryBinder};
 pub use channel::{ChannelId, Rssi, RGSM_900_CHANNELS};
 pub use config::{AggregationScheme, RupsConfig};
-pub use engine::{EngineStats, Kernel, QueryDiag, SynQueryEngine};
+pub use engine::{EngineStats, QueryDiag, SynQueryEngine};
 pub use error::RupsError;
 pub use geo::{GeoSample, GeoTrajectory};
 pub use gsm::{GsmTrajectory, PowerVector};

@@ -435,12 +435,10 @@ impl RupsNode {
     ) -> Result<DistanceFix, RupsError> {
         self.validate_neighbour(neighbour)?;
         let ctx = self.engine.ensure_context(self.context_version, &self.gsm);
-        let kernel = self.engine.kernel_for(&ctx, neighbour.gsm.len());
         let mut scanned = 0u32;
         let points = self.engine.query_ctx_counted(
             &ctx,
             &neighbour.gsm,
-            kernel,
             parallel,
             &mut scanned,
             neighbour.trace,
@@ -524,7 +522,7 @@ impl RupsNode {
     /// neighbour), preserving input order. This is the heavy-traffic path
     /// discussed in §V-B: one epoch of queries runs as a single batched
     /// work-stealing pass through the engine, with the own-side caches
-    /// shared across every task and the kernel chosen once per batch.
+    /// shared across every task.
     pub fn fix_distances_parallel(
         &self,
         neighbours: &[ContextSnapshot],
@@ -674,7 +672,6 @@ impl RupsNode {
             threshold,
             grade,
             windows_scanned: diag.windows_scanned as u64,
-            kernel: diag.kernel.as_str().to_string(),
             context_cached,
             own_context_m: self.gsm.len(),
             neighbour_context_m: snap.len(),
@@ -1125,13 +1122,12 @@ mod tests {
         assert!(dump.triggered.iter().any(|t| t.rule == "fix_error_spike"));
         assert!(!dump.windows.is_empty(), "registry deltas retained");
         assert!(dump.fixes.len() >= 8, "one FixReport per miss per pass");
-        // The reports are structured: kernel, scan counts, context state.
+        // The reports are structured: scan counts, context state.
         let Value::Map(kv) = dump.fixes.last().unwrap() else {
             panic!("fix reports must be JSON objects");
         };
         let get = |key: &str| kv.iter().find(|(k, _)| k == key).map(|(_, v)| v);
         assert_eq!(get("outcome").and_then(|v| v.as_str()), Some("Miss"));
-        assert!(get("kernel").and_then(|v| v.as_str()).is_some());
         assert!(get("windows_scanned").and_then(|v| v.as_u64()).unwrap() > 0);
         assert_eq!(get("own_context_m").and_then(|v| v.as_u64()), Some(400));
         assert!(get("snapshot_age_s").and_then(|v| v.as_f64()).unwrap() >= 0.0);

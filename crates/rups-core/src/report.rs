@@ -7,11 +7,11 @@
 //! trajectory context (§V); a live node has no replay, so instead of a
 //! bare `Err` the pipeline captures *why* at the moment it happened: the
 //! best correlation seen against the acceptance threshold, how many
-//! directed window passes actually ran, which kernel scanned, whether the
-//! own context was served from cache, both context lengths and the age of
-//! the neighbour snapshot. The report is a plain serializable struct so
-//! the [`FlightRecorder`](rups_obs::FlightRecorder) can ring-buffer it
-//! and dump it verbatim into the black box.
+//! directed window passes actually ran, whether the own context was served
+//! from cache, both context lengths and the age of the neighbour snapshot.
+//! The report is a plain serializable struct so the
+//! [`FlightRecorder`](rups_obs::FlightRecorder) can ring-buffer it and dump
+//! it verbatim into the black box.
 
 use rups_obs::{FlightConfig, TriggerOp, TriggerRule};
 use serde::{Deserialize, Serialize};
@@ -50,8 +50,6 @@ pub struct FixReport {
     pub grade: Option<String>,
     /// Directed sliding passes that actually executed.
     pub windows_scanned: u64,
-    /// Kernel the batch ran (`"reference"` / `"fft"`).
-    pub kernel: String,
     /// Whether the own-side context was served from the engine cache
     /// (false when this query forced a rebuild).
     pub context_cached: bool,
@@ -150,7 +148,6 @@ mod tests {
             threshold: 0.85,
             grade: None,
             windows_scanned: 6,
-            kernel: "fft".into(),
             context_cached: true,
             own_context_m: 400,
             neighbour_context_m: 250,

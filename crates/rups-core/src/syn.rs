@@ -15,6 +15,7 @@
 use crate::config::RupsConfig;
 use crate::error::RupsError;
 use crate::gsm::GsmTrajectory;
+use crate::syn_fast::{self, DenseScratch, Peak};
 use crate::window::CheckWindow;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -65,16 +66,14 @@ pub fn slide_scores(
     out
 }
 
-/// [`slide_scores`] writing into a caller-provided buffer so repeated passes
-/// (one per segment per neighbour) reuse one allocation. Results are
-/// identical to [`slide_scores`].
+/// [`slide_scores`] writing into a caller-provided buffer.
 ///
-/// Dense (all-finite) inputs take the incremental rolling-statistics scan —
-/// window sums update in `O(1)` per placement instead of being recomputed,
-/// turning the `O(mwk)` pass into `O(mwk / w + mk)`-ish work dominated by
-/// the dot products. Inputs with missing or non-finite samples fall back to
-/// [`slide_scores_reference`], which handles partial windows.
-pub(crate) fn slide_scores_into(
+/// Dense (all-finite) inputs take the incremental rolling-statistics scan of
+/// [`crate::syn_fast`] — window sums update in `O(1)` per placement instead
+/// of being recomputed, leaving the per-placement dot products as the
+/// dominant `O(mwk)` work. Inputs with missing or non-finite samples fall
+/// back to [`slide_scores_reference`], which handles partial windows.
+fn slide_scores_into(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
@@ -82,11 +81,7 @@ pub(crate) fn slide_scores_into(
     out: &mut Vec<f64>,
 ) {
     out.clear();
-    let w = window.len_m;
-    if sliding.len() < w {
-        return;
-    }
-    if w > 0 && crate::syn_fast::dense_scores_naive_into(fixed, fixed_start, sliding, window, out) {
+    if syn_fast::dense_scores_into(fixed, fixed_start, sliding, window, out) {
         return;
     }
     slide_scores_reference_into(fixed, fixed_start, sliding, window, out);
@@ -147,15 +142,23 @@ pub fn slide_scores_parallel(
     sliding: &GsmTrajectory,
     window: &CheckWindow,
 ) -> Vec<f64> {
+    let mut out = Vec::new();
+    if syn_fast::dense_scores_into(fixed, fixed_start, sliding, window, &mut out) {
+        return out;
+    }
+    slide_scores_reference_parallel(fixed, fixed_start, sliding, window)
+}
+
+/// [`slide_scores_reference`] with the placements fanned out over rayon.
+fn slide_scores_reference_parallel(
+    fixed: &GsmTrajectory,
+    fixed_start: usize,
+    sliding: &GsmTrajectory,
+    window: &CheckWindow,
+) -> Vec<f64> {
     let w = window.len_m;
     if sliding.len() < w {
         return Vec::new();
-    }
-    let mut out = Vec::new();
-    if w > 0
-        && crate::syn_fast::dense_scores_naive_into(fixed, fixed_start, sliding, window, &mut out)
-    {
-        return out;
     }
     let n_pos = sliding.len() - w + 1;
     (0..n_pos)
@@ -208,9 +211,7 @@ pub fn slide_scores_range(
 
 /// Index and value of the maximum finite score, with parabolic sub-sample
 /// refinement of the peak position. `None` when every score is NaN.
-/// Shared with [`crate::engine`] so both search paths pick peaks
-/// identically.
-pub(crate) fn peak(scores: &[f64]) -> Option<(usize, f64, f64)> {
+pub(crate) fn peak(scores: &[f64]) -> Option<Peak> {
     let mut best: Option<(usize, f64)> = None;
     for (i, &s) in scores.iter().enumerate() {
         if s.is_nan() {
@@ -288,16 +289,32 @@ pub(crate) fn better_pass(fwd: Option<SynPoint>, rev: Option<SynPoint>) -> Optio
     }
 }
 
-/// How sliding-window placements are scored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SearchMode {
-    /// Reference sequential scan (`O(mwk)`).
-    Sequential,
-    /// Placements fanned out over the rayon pool.
-    Parallel,
-    /// FFT/prefix-sum scan for dense contexts (`O(k·m log m)`), falling
-    /// back to the sequential scan when missing values are present.
-    Fft,
+/// The best placement `(j, score, refine)` of one directed pass — the
+/// window `fixed[fixed_start..fixed_start + w]` slid over all of `sliding`
+/// — plus the placements the pruned peak search skipped.
+///
+/// Dense inputs run the rolling scan with the exact pruned peak of
+/// [`crate::syn_fast`], bit-identical to `peak(&slide_scores(..))`; inputs
+/// with missing or non-finite samples fall back to the reference scan,
+/// with the placements fanned out over rayon when `parallel` is set. Shared with
+/// [`crate::engine`] so both search paths pick peaks identically.
+pub(crate) fn pass_peak(
+    fixed: &GsmTrajectory,
+    fixed_start: usize,
+    sliding: &GsmTrajectory,
+    window: &CheckWindow,
+    parallel: bool,
+    s: &mut DenseScratch,
+) -> (Option<Peak>, u64) {
+    if let Some(found) = syn_fast::dense_peak(fixed, fixed_start, sliding, window, s) {
+        return found;
+    }
+    if parallel {
+        s.scores = slide_scores_reference_parallel(fixed, fixed_start, sliding, window);
+    } else {
+        slide_scores_reference_into(fixed, fixed_start, sliding, window, &mut s.scores);
+    }
+    (peak(&s.scores), 0)
 }
 
 /// Runs one directed sliding pass: the window of `a` ending at `a_end` slid
@@ -308,21 +325,13 @@ fn directed_best(
     a_end: usize,
     b: &GsmTrajectory,
     window: &CheckWindow,
-    mode: SearchMode,
+    parallel: bool,
 ) -> Option<SynPoint> {
     let w = window.len_m;
     if a_end < w || b.len() < w {
         return None;
     }
-    let best = match mode {
-        SearchMode::Parallel => peak(&slide_scores_parallel(a, a_end - w, b, window)),
-        // Pruned peak search: skips the mean-profile correlation wherever
-        // the exact score upper bound cannot beat the running best, with a
-        // result bit-identical to peak-of-full-scan (see syn_fast).
-        SearchMode::Fft => crate::syn_fast::best_syn_fast(a, a_end - w, b, window)
-            .unwrap_or_else(|| peak(&slide_scores(a, a_end - w, b, window))),
-        SearchMode::Sequential => peak(&slide_scores(a, a_end - w, b, window)),
-    };
+    let (best, _) = syn_fast::with_scratch(|s| pass_peak(a, a_end - w, b, window, parallel, s));
     let (j, score, refine) = best?;
     Some(SynPoint {
         self_end: a_end,
@@ -345,7 +354,7 @@ pub fn find_best_syn(
     theirs: &GsmTrajectory,
     cfg: &RupsConfig,
 ) -> Result<SynPoint, RupsError> {
-    find_best_syn_impl(ours, theirs, cfg, SearchMode::Sequential)
+    find_best_syn_impl(ours, theirs, cfg, false)
 }
 
 /// Parallel variant of [`find_best_syn`] (placements scored across rayon).
@@ -354,26 +363,14 @@ pub fn find_best_syn_parallel(
     theirs: &GsmTrajectory,
     cfg: &RupsConfig,
 ) -> Result<SynPoint, RupsError> {
-    find_best_syn_impl(ours, theirs, cfg, SearchMode::Parallel)
-}
-
-/// FFT-accelerated variant of [`find_best_syn`]: `O(k·m log m)` per pass on
-/// dense (interpolated) contexts, transparently falling back to the
-/// reference scan when missing values remain. Scores match the reference to
-/// floating-point rounding (see [`crate::syn_fast`]).
-pub fn find_best_syn_fft(
-    ours: &GsmTrajectory,
-    theirs: &GsmTrajectory,
-    cfg: &RupsConfig,
-) -> Result<SynPoint, RupsError> {
-    find_best_syn_impl(ours, theirs, cfg, SearchMode::Fft)
+    find_best_syn_impl(ours, theirs, cfg, true)
 }
 
 fn find_best_syn_impl(
     ours: &GsmTrajectory,
     theirs: &GsmTrajectory,
     cfg: &RupsConfig,
-    mode: SearchMode,
+    parallel: bool,
 ) -> Result<SynPoint, RupsError> {
     if ours.n_channels() != theirs.n_channels() {
         return Err(RupsError::ChannelMismatch {
@@ -393,12 +390,12 @@ fn find_best_syn_impl(
     let window = CheckWindow::with_len(ours, cfg, len, ours.len()).ok_or_else(too_short)?;
 
     // Pass 1: our most recent window over their trajectory.
-    let fwd = directed_best(ours, ours.len(), theirs, &window, mode);
+    let fwd = directed_best(ours, ours.len(), theirs, &window, parallel);
     // Pass 2: their most recent window over our trajectory (window channels
     // re-selected from their context).
     let rev_window = CheckWindow::with_len(theirs, cfg, window.len_m, theirs.len());
     let rev = rev_window
-        .and_then(|wnd| directed_best(theirs, theirs.len(), ours, &wnd, mode))
+        .and_then(|wnd| directed_best(theirs, theirs.len(), ours, &wnd, parallel))
         // A reverse-pass hit anchors *their* end and a window on *us*; swap
         // roles so the SynPoint is always expressed from our perspective.
         .map(swap_perspective);
@@ -434,7 +431,7 @@ pub fn find_syn_points(
     theirs: &GsmTrajectory,
     cfg: &RupsConfig,
 ) -> Result<Vec<SynPoint>, RupsError> {
-    find_syn_points_impl(ours, theirs, cfg, SearchMode::Sequential)
+    find_syn_points_impl(ours, theirs, cfg, false)
 }
 
 /// Parallel variant of [`find_syn_points`].
@@ -443,24 +440,14 @@ pub fn find_syn_points_parallel(
     theirs: &GsmTrajectory,
     cfg: &RupsConfig,
 ) -> Result<Vec<SynPoint>, RupsError> {
-    find_syn_points_impl(ours, theirs, cfg, SearchMode::Parallel)
-}
-
-/// FFT-accelerated variant of [`find_syn_points`] (see
-/// [`find_best_syn_fft`]).
-pub fn find_syn_points_fft(
-    ours: &GsmTrajectory,
-    theirs: &GsmTrajectory,
-    cfg: &RupsConfig,
-) -> Result<Vec<SynPoint>, RupsError> {
-    find_syn_points_impl(ours, theirs, cfg, SearchMode::Fft)
+    find_syn_points_impl(ours, theirs, cfg, true)
 }
 
 fn find_syn_points_impl(
     ours: &GsmTrajectory,
     theirs: &GsmTrajectory,
     cfg: &RupsConfig,
-    mode: SearchMode,
+    parallel: bool,
 ) -> Result<Vec<SynPoint>, RupsError> {
     if ours.n_channels() != theirs.n_channels() {
         return Err(RupsError::ChannelMismatch {
@@ -470,7 +457,7 @@ fn find_syn_points_impl(
     }
     // The first (most recent) segment uses the full double-sliding check so
     // single-SYN behaviour is preserved.
-    let first = find_best_syn_impl(ours, theirs, cfg, mode)?;
+    let first = find_best_syn_impl(ours, theirs, cfg, parallel)?;
     let mut points = vec![first];
     let w = first.window_len;
 
@@ -486,7 +473,8 @@ fn find_syn_points_impl(
             .filter(|&end| end >= w)
             .and_then(|end| CheckWindow::with_len(ours, cfg, w, end).map(|wnd| (end, wnd)))
             .and_then(|(end, wnd)| {
-                directed_best(ours, end, theirs, &wnd, mode).filter(|p| p.score >= wnd.threshold)
+                directed_best(ours, end, theirs, &wnd, parallel)
+                    .filter(|p| p.score >= wnd.threshold)
             });
         let rev = theirs
             .len()
@@ -494,7 +482,8 @@ fn find_syn_points_impl(
             .filter(|&end| end >= w)
             .and_then(|end| CheckWindow::with_len(theirs, cfg, w, end).map(|wnd| (end, wnd)))
             .and_then(|(end, wnd)| {
-                directed_best(theirs, end, ours, &wnd, mode).filter(|p| p.score >= wnd.threshold)
+                directed_best(theirs, end, ours, &wnd, parallel)
+                    .filter(|p| p.score >= wnd.threshold)
             })
             .map(swap_perspective);
         if let Some(p) = better_pass(fwd, rev) {

@@ -1,32 +1,30 @@
-//! Fast SYN-search kernels for dense contexts.
+//! The dense SYN scan: rolling statistics with an exact pruned peak.
 //!
 //! The reference double-sliding check costs `O(mwk)` (§V-A): every window
 //! placement recomputes per-channel sums over `w` metres. After
-//! missing-channel interpolation the rows are dense, and the
-//! placement-dependent quantities reduce to
+//! missing-channel interpolation the rows are dense, and one directed pass
+//! splits into three layers:
 //!
-//! * per-channel sliding dot products `Σ f_i · s_{j+i}` — a cross-
-//!   correlation, `O(m log m)` via the packed FFT pipeline of
-//!   [`crate::dsp`] (or a naive `O(mw)` loop for the rolling reference
-//!   scan), and
-//! * per-channel window sums/sum-of-squares — rolled incrementally in
-//!   `O(1)` per placement (`accumulate_dense_channel`),
+//! * **lane accumulators** — the per-channel sliding dot products
+//!   `Σ f_i · s_{j+i}` (`lane_dot`) and the fixed-window `(Σx, Σx²)`
+//!   ([`sum_sumsq`]), each hand-unrolled into four f64 lanes combined in a
+//!   fixed order;
+//! * **rolling statistics** — per-channel sliding-window sums and sums of
+//!   squares, seeded once and updated in `O(1)` per placement
+//!   (`accumulate_dense_channel`), feeding the same `PairSums → Pearson`
+//!   math as the reference;
+//! * **pruned peak** — the peak search skips the mean-profile correlation
+//!   of placements whose score upper bound (mean per-channel Pearson plus
+//!   the profile term's hard cap of 1) cannot beat the current best
+//!   (`combine_dense_peak`); the bound is exact, so the pruned argmax is
+//!   bit-identical to the full scan.
 //!
-//! bringing one directed FFT pass down to `O(k · m log m)` with three
-//! planned transforms per *pair* of channels (two real rows share each
-//! forward transform; two correlation products share each inverse). The
-//! peak search prunes placements whose score upper bound — mean
-//! per-channel Pearson plus the profile term's hard cap of 1 — cannot beat
-//! the current best (`combine_dense_peak`); the bound is exact, so the
-//! pruned argmax is bit-identical to the full scan.
-//!
-//! Scores match the reference implementation to floating-point rounding;
-//! the public entry points transparently fall back to the non-finite-aware
-//! reference path when a selected channel contains missing or corrupt
-//! values. All buffers come from a process-wide scratch pool
-//! (`with_scratch`), so steady-state passes allocate nothing.
+//! Scores match the reference implementation to floating-point rounding.
+//! Callers fall back to the non-finite-aware reference scan when a
+//! selected channel contains missing or corrupt values. All buffers come
+//! from a process-wide scratch pool (`with_scratch`) or the engine's own
+//! pool, so steady-state passes allocate nothing.
 
-use crate::dsp::{self, Complex};
 use crate::gsm::GsmTrajectory;
 use crate::stats::{self, PairSums};
 use crate::window::CheckWindow;
@@ -37,23 +35,12 @@ use std::sync::{Mutex, OnceLock};
 /// passes perform no allocation after warm-up.
 #[derive(Default)]
 pub(crate) struct DenseScratch {
-    /// FFT work area shared by all transform calls.
-    pub work: Vec<Complex>,
-    /// Spectra of the (reversed) fixed rows of the current channel pair.
-    pub spec_fa: Vec<Complex>,
-    pub spec_fb: Vec<Complex>,
-    /// Spectra of the sliding rows of the current channel pair.
-    pub spec_sa: Vec<Complex>,
-    pub spec_sb: Vec<Complex>,
-    /// `f64` stagings of the fixed-window rows.
-    pub f64a: Vec<f64>,
-    pub f64b: Vec<f64>,
-    /// `f64` stagings of the sliding rows.
-    pub s64a: Vec<f64>,
-    pub s64b: Vec<f64>,
-    /// Correlation lags of the current channel pair.
-    pub dots_a: Vec<f64>,
-    pub dots_b: Vec<f64>,
+    /// `f64` staging of the current channel's fixed-window row.
+    pub fixed64: Vec<f64>,
+    /// `f64` staging of the current channel's sliding row.
+    pub sliding64: Vec<f64>,
+    /// Fixed·sliding dot products of the current channel, per placement.
+    pub dots: Vec<f64>,
     /// Per-placement Σ of defined per-channel Pearsons / their count.
     pub chan_sum: Vec<f64>,
     pub chan_n: Vec<u32>,
@@ -63,14 +50,14 @@ pub(crate) struct DenseScratch {
     pub mean_s: Vec<Vec<f32>>,
     /// Mean-profile staging for one placement.
     pub profile: Vec<f32>,
-    /// Final per-placement scores (full-combine paths only).
+    /// Final per-placement scores (full-combine and fallback paths only).
     pub scores: Vec<f64>,
 }
 
 impl DenseScratch {
     /// Resets the per-pass accumulators for `n_pos` placements over `k`
     /// window channels. Capacity is retained.
-    pub(crate) fn prepare(&mut self, n_pos: usize, k: usize) {
+    fn prepare(&mut self, n_pos: usize, k: usize) {
         self.chan_sum.clear();
         self.chan_sum.resize(n_pos, 0.0);
         self.chan_n.clear();
@@ -81,6 +68,10 @@ impl DenseScratch {
         }
     }
 }
+
+/// The best placement of a directed pass: `(j, score, refine)`, with `j`
+/// the placement index and `refine` the parabolic sub-metre refinement.
+pub(crate) type Peak = (usize, f64, f64);
 
 fn scratch_pool() -> &'static Mutex<Vec<DenseScratch>> {
     static POOL: OnceLock<Mutex<Vec<DenseScratch>>> = OnceLock::new();
@@ -104,83 +95,12 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut DenseScratch) -> R) -> R {
     r
 }
 
-/// Fast equivalent of [`crate::syn::slide_scores`], producing the full
-/// per-placement score vector via the packed FFT pipeline.
-///
-/// Returns `None` when any selected channel row carries a non-finite value
-/// within the relevant ranges (the caller then falls back to the
-/// missing-value-aware reference path).
-pub fn slide_scores_fast(
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding: &GsmTrajectory,
-    window: &CheckWindow,
-) -> Option<Vec<f64>> {
-    let w = window.len_m;
-    if sliding.len() < w || w == 0 {
-        return Some(Vec::new());
-    }
-    let n_pos = sliding.len() - w + 1;
-    let k = window.channels.len();
-    with_scratch(|s| {
-        if !dense_pass(fixed, fixed_start, sliding, window, true, s) {
-            return None;
-        }
-        let mut scores = Vec::with_capacity(n_pos);
-        combine_dense_scores(
-            n_pos,
-            &s.mean_f,
-            &s.mean_s[..k],
-            &s.chan_sum,
-            &s.chan_n,
-            &mut s.profile,
-            &mut scores,
-        );
-        Some(scores)
-    })
-}
-
-/// Pruned fast pass: the best placement `(j, score, refine)` without
-/// materialising the score vector (see [`combine_dense_peak`]).
-///
-/// Outer `None` means a selected channel carried a non-finite value and
-/// the caller must fall back to the reference scan; inner `None` means the
-/// pass ran but every placement was undefined.
-pub(crate) fn best_syn_fast(
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding: &GsmTrajectory,
-    window: &CheckWindow,
-) -> Option<Option<(usize, f64, f64)>> {
-    let w = window.len_m;
-    if sliding.len() < w || w == 0 {
-        return Some(None);
-    }
-    let n_pos = sliding.len() - w + 1;
-    let k = window.channels.len();
-    with_scratch(|s| {
-        if !dense_pass(fixed, fixed_start, sliding, window, true, s) {
-            return None;
-        }
-        let (peak, _pruned) = combine_dense_peak(
-            n_pos,
-            &s.mean_f,
-            &s.mean_s[..k],
-            &s.chan_sum,
-            &s.chan_n,
-            &mut s.profile,
-        );
-        Some(peak)
-    })
-}
-
-/// Rolling-statistics dense scan with naive dot products, writing the full
-/// score vector into `out` — the production reference scan behind
-/// [`crate::syn::slide_scores`] for dense inputs. Returns `false` (and
-/// leaves `out` untouched) when a selected channel carries a non-finite
-/// value, in which case the caller runs the per-placement
-/// recompute-of-record instead.
-pub(crate) fn dense_scores_naive_into(
+/// Rolling dense scan writing the full score vector into `out` — the
+/// production scan behind [`crate::syn::slide_scores`] for dense inputs.
+/// Returns `false` (and leaves `out` untouched) when a selected channel
+/// carries a non-finite value, in which case the caller runs the
+/// per-placement recompute-of-record instead.
+pub(crate) fn dense_scores_into(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
@@ -194,7 +114,7 @@ pub(crate) fn dense_scores_naive_into(
     let n_pos = sliding.len() - w + 1;
     let k = window.channels.len();
     with_scratch(|s| {
-        if !dense_pass(fixed, fixed_start, sliding, window, false, s) {
+        if !dense_pass(fixed, fixed_start, sliding, window, s) {
             return false;
         }
         combine_dense_scores(
@@ -210,21 +130,53 @@ pub(crate) fn dense_scores_naive_into(
     })
 }
 
-/// One dense directed pass: stages the selected channels pairwise, computes
-/// their correlation lags (packed FFT when `use_fft`, a 4-lane naive dot
-/// otherwise), and accumulates the rolling per-placement statistics into
-/// `s.chan_sum`/`s.chan_n`/`s.mean_f`/`s.mean_s`.
+/// Rolling dense pass followed by the pruned peak search: the best
+/// placement `(j, score, refine)` — bit-identical to
+/// `syn::peak(&syn::slide_scores(..))` — plus the number of placements
+/// whose mean-profile correlation was skipped.
 ///
-/// Returns `false` without touching the accumulators' meaning when any
-/// selected row carries a non-finite value — the dense kernels assume
-/// full-support windows, and [`PairSums`] would otherwise silently skip
-/// samples the `n = w` shortcut still counts.
-pub(crate) fn dense_pass(
+/// Outer `None` means the pass could not run (a selected row carries a
+/// non-finite value, or the window does not fit) and the caller must fall
+/// back to the reference scan; an inner `None` means every placement was
+/// undefined.
+pub(crate) fn dense_peak(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
     window: &CheckWindow,
-    use_fft: bool,
+    s: &mut DenseScratch,
+) -> Option<(Option<Peak>, u64)> {
+    let w = window.len_m;
+    if sliding.len() < w || w == 0 || !dense_pass(fixed, fixed_start, sliding, window, s) {
+        return None;
+    }
+    let n_pos = sliding.len() - w + 1;
+    let k = window.channels.len();
+    Some(combine_dense_peak(
+        n_pos,
+        &s.mean_f,
+        &s.mean_s[..k],
+        &s.chan_sum,
+        &s.chan_n,
+        &mut s.profile,
+    ))
+}
+
+/// One dense directed pass: per selected channel, stages the fixed and
+/// sliding rows as `f64`, computes the per-placement dot products with
+/// [`lane_dot`], and accumulates the rolling per-placement statistics into
+/// `s.chan_sum`/`s.chan_n`/`s.mean_f`/`s.mean_s`. Requires
+/// `sliding.len() >= window.len_m`.
+///
+/// Returns `false` without touching the accumulators' meaning when any
+/// selected row carries a non-finite value — the dense scan assumes
+/// full-support windows, and [`PairSums`] would otherwise silently skip
+/// samples the `n = w` shortcut still counts.
+fn dense_pass(
+    fixed: &GsmTrajectory,
+    fixed_start: usize,
+    sliding: &GsmTrajectory,
+    window: &CheckWindow,
     s: &mut DenseScratch,
 ) -> bool {
     let w = window.len_m;
@@ -240,114 +192,43 @@ pub(crate) fn dense_pass(
         }
     }
     s.prepare(n_pos, k);
-    let size = dsp::corr_fft_size(w, sliding.len());
-    let mut ci = 0usize;
-    while ci < k {
-        let cha = window.channels[ci];
-        let chb = window.channels.get(ci + 1).copied();
-        s.f64a.clear();
-        s.f64a.extend(
-            fixed.channel(cha)[fixed_start..fixed_start + w]
+    for (ci, &ch) in window.channels.iter().enumerate() {
+        s.fixed64.clear();
+        s.fixed64.extend(
+            fixed.channel(ch)[fixed_start..fixed_start + w]
                 .iter()
                 .map(|&v| v as f64),
         );
-        s.s64a.clear();
-        s.s64a
-            .extend(sliding.channel(cha).iter().map(|&v| v as f64));
-        s.f64b.clear();
-        s.s64b.clear();
-        if let Some(chb) = chb {
-            s.f64b.extend(
-                fixed.channel(chb)[fixed_start..fixed_start + w]
-                    .iter()
-                    .map(|&v| v as f64),
-            );
-            s.s64b
-                .extend(sliding.channel(chb).iter().map(|&v| v as f64));
+        s.sliding64.clear();
+        s.sliding64
+            .extend(sliding.channel(ch).iter().map(|&v| v as f64));
+        s.dots.clear();
+        for j in 0..n_pos {
+            s.dots.push(lane_dot(&s.fixed64, &s.sliding64[j..j + w]));
         }
-        if use_fft {
-            dsp::real_spectra_pair_into(
-                &s.f64a,
-                &s.f64b,
-                true,
-                size,
-                &mut s.work,
-                &mut s.spec_fa,
-                &mut s.spec_fb,
-            );
-            dsp::real_spectra_pair_into(
-                &s.s64a,
-                &s.s64b,
-                false,
-                size,
-                &mut s.work,
-                &mut s.spec_sa,
-                &mut s.spec_sb,
-            );
-            dsp::corr_from_spectra_pair_into(
-                &s.spec_fa,
-                &s.spec_sa,
-                &s.spec_fb,
-                &s.spec_sb,
-                w,
-                n_pos,
-                &mut s.work,
-                &mut s.dots_a,
-                &mut s.dots_b,
-            );
-        } else {
-            s.dots_a.clear();
-            for j in 0..n_pos {
-                s.dots_a.push(lane_dot(&s.f64a, &s.s64a[j..j + w]));
-            }
-            s.dots_b.clear();
-            if !s.f64b.is_empty() {
-                for j in 0..n_pos {
-                    s.dots_b.push(lane_dot(&s.f64b, &s.s64b[j..j + w]));
-                }
-            }
-        }
-        let sums_a = dsp::sum_sumsq(&s.f64a);
+        let (sum_f, sumsq_f) = sum_sumsq(&s.fixed64);
         let row = &mut s.mean_s[ci];
         row.clear();
         let mf = accumulate_dense_channel(
             w,
             n_pos,
-            sums_a.0,
-            sums_a.1,
-            &s.dots_a,
-            &s.s64a,
+            sum_f,
+            sumsq_f,
+            &s.dots,
+            &s.sliding64,
             &mut s.chan_sum,
             &mut s.chan_n,
             row,
         );
         s.mean_f.push(mf);
-        if chb.is_some() {
-            let sums_b = dsp::sum_sumsq(&s.f64b);
-            let row = &mut s.mean_s[ci + 1];
-            row.clear();
-            let mf = accumulate_dense_channel(
-                w,
-                n_pos,
-                sums_b.0,
-                sums_b.1,
-                &s.dots_b,
-                &s.s64b,
-                &mut s.chan_sum,
-                &mut s.chan_n,
-                row,
-            );
-            s.mean_f.push(mf);
-        }
-        ci += 2;
     }
     true
 }
 
 /// Dot product hand-unrolled into four independent f64 lanes (combined in
-/// a fixed `(0+1)+(2+3)` order), for the naive-dots rolling scan.
+/// a fixed `(0+1)+(2+3)` order), for the rolling scan's per-placement dots.
 #[inline]
-pub(crate) fn lane_dot(f: &[f64], s: &[f64]) -> f64 {
+fn lane_dot(f: &[f64], s: &[f64]) -> f64 {
     debug_assert_eq!(f.len(), s.len());
     let mut acc = [0.0f64; 4];
     let mut fc = f.chunks_exact(4);
@@ -365,6 +246,33 @@ pub(crate) fn lane_dot(f: &[f64], s: &[f64]) -> f64 {
     out
 }
 
+/// `(Σx, Σx²)` of a row in one pass, hand-unrolled into four independent
+/// f64 lanes — the fixed-window and seed-window sum builder of the rolling
+/// scan. Lane partials are combined in a fixed `(0+1)+(2+3)` order, so
+/// results are deterministic (though not bit-identical to a sequential
+/// fold).
+pub fn sum_sumsq(x: &[f64]) -> (f64, f64) {
+    let mut s = [0.0f64; 4];
+    let mut q = [0.0f64; 4];
+    let mut chunks = x.chunks_exact(4);
+    for c in &mut chunks {
+        s[0] += c[0];
+        q[0] += c[0] * c[0];
+        s[1] += c[1];
+        q[1] += c[1] * c[1];
+        s[2] += c[2];
+        q[2] += c[2] * c[2];
+        s[3] += c[3];
+        q[3] += c[3] * c[3];
+    }
+    let (mut sum, mut sumsq) = ((s[0] + s[1]) + (s[2] + s[3]), (q[0] + q[1]) + (q[2] + q[3]));
+    for &v in chunks.remainder() {
+        sum += v;
+        sumsq += v * v;
+    }
+    (sum, sumsq)
+}
+
 /// Accumulates one dense channel's per-placement Pearson contributions into
 /// `chan_sum`/`chan_n`, pushes the per-placement sliding-window means into
 /// `means_row`, and returns the fixed-window mean. `dots[j]` must be the
@@ -373,11 +281,11 @@ pub(crate) fn lane_dot(f: &[f64], s: &[f64]) -> f64 {
 /// per placement — rather than rebuilt, turning the `O(mw)` statistics
 /// sweep into `O(m)`.
 ///
-/// This is the placement-dependent half of Eq. (2), shared between every
-/// dense path ([`slide_scores_fast`], the rolling reference scan and
-/// [`crate::engine::SynQueryEngine`]) so they stay bit-identical.
+/// This is the placement-dependent half of Eq. (2); it reuses the exact
+/// `PairSums → Pearson` math of the reference path so thresholds and
+/// degenerate-variance handling agree.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn accumulate_dense_channel(
+fn accumulate_dense_channel(
     w: usize,
     n_pos: usize,
     sum_f: f64,
@@ -388,7 +296,7 @@ pub(crate) fn accumulate_dense_channel(
     chan_n: &mut [u32],
     means_row: &mut Vec<f32>,
 ) -> f32 {
-    let (mut sum_s, mut sumsq_s) = dsp::sum_sumsq(&s_row[..w]);
+    let (mut sum_s, mut sumsq_s) = sum_sumsq(&s_row[..w]);
     for j in 0..n_pos {
         if j > 0 {
             let dropped = s_row[j - 1];
@@ -396,8 +304,6 @@ pub(crate) fn accumulate_dense_channel(
             sum_s += added - dropped;
             sumsq_s += added * added - dropped * dropped;
         }
-        // Reuse the exact PairSums → Pearson math of the reference path
-        // so thresholds and degenerate-variance handling agree.
         let sums = PairSums {
             n: w,
             sum_a: sum_f,
@@ -442,8 +348,7 @@ fn dense_score_at(
 /// Combines the per-channel accumulators of [`accumulate_dense_channel`]
 /// into final Eq. (2) scores, appending one score per placement to
 /// `scores`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn combine_dense_scores(
+fn combine_dense_scores(
     n_pos: usize,
     mean_f: &[f32],
     mean_s: &[Vec<f32>],
@@ -472,14 +377,14 @@ pub(crate) fn combine_dense_scores(
 /// skipping its `O(k)` profile correlation cannot change the argmax. The
 /// peak's neighbours are evaluated exactly afterwards, so the parabolic
 /// refinement is bit-identical too.
-pub(crate) fn combine_dense_peak(
+fn combine_dense_peak(
     n_pos: usize,
     mean_f: &[f32],
     mean_s: &[Vec<f32>],
     chan_sum: &[f64],
     chan_n: &[u32],
     profile: &mut Vec<f32>,
-) -> (Option<(usize, f64, f64)>, u64) {
+) -> (Option<Peak>, u64) {
     let k = mean_f.len();
     profile.clear();
     profile.resize(k, 0.0);
@@ -532,7 +437,7 @@ mod tests {
     use super::*;
     use crate::config::RupsConfig;
     use crate::gsm::PowerVector;
-    use crate::syn::{self, find_best_syn, find_best_syn_fft};
+    use crate::syn::{self, find_best_syn};
     use crate::testfield;
 
     fn dense_traj(seed: u64, start: usize, len: usize, n_channels: usize) -> GsmTrajectory {
@@ -554,35 +459,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fast_scores_match_reference_on_dense_contexts() {
-        let a = dense_traj(3, 0, 260, 20);
-        let b = dense_traj(3, 40, 260, 20);
-        let c = cfg(20);
-        let w = CheckWindow::for_context(&a, &c).unwrap();
-        let reference = syn::slide_scores_reference(&a, a.len() - w.len_m, &b, &w);
-        let fast = slide_scores_fast(&a, a.len() - w.len_m, &b, &w).expect("dense input");
-        assert_eq!(reference.len(), fast.len());
-        for (i, (r, f)) in reference.iter().zip(&fast).enumerate() {
-            match (r.is_nan(), f.is_nan()) {
-                (true, true) => {}
-                (false, false) => {
-                    assert!((r - f).abs() < 1e-6, "placement {i}: ref {r} vs fft {f}")
-                }
-                _ => panic!("definedness mismatch at {i}: ref {r}, fft {f}"),
-            }
-        }
+    fn pooled_peak(
+        fixed: &GsmTrajectory,
+        fixed_start: usize,
+        sliding: &GsmTrajectory,
+        window: &CheckWindow,
+    ) -> Option<(Option<Peak>, u64)> {
+        with_scratch(|s| dense_peak(fixed, fixed_start, sliding, window, s))
     }
 
     #[test]
-    fn rolling_naive_scan_matches_recompute_reference() {
-        let a = dense_traj(21, 0, 240, 17); // odd channel count: lone tail channel
+    fn rolling_scan_matches_recompute_reference() {
+        let a = dense_traj(21, 0, 240, 17); // odd channel count
         let b = dense_traj(21, 35, 240, 17);
         let c = cfg(17);
         let w = CheckWindow::for_context(&a, &c).unwrap();
         let reference = syn::slide_scores_reference(&a, a.len() - w.len_m, &b, &w);
         let mut rolling = Vec::new();
-        assert!(dense_scores_naive_into(
+        assert!(dense_scores_into(
             &a,
             a.len() - w.len_m,
             &b,
@@ -606,22 +500,46 @@ mod tests {
 
     #[test]
     fn pruned_peak_equals_full_scan_peak() {
-        for (seed, off) in [(7u64, 30usize), (8, 55), (9, 10)] {
-            let a = dense_traj(seed, 0, 300, 19);
-            let b = dense_traj(seed, off, 300, 19);
+        // A slowly varying field scores the peak's neighbours within a few
+        // hundredths of the peak, so any bound looser than the exact
+        // `partial + 1` would prune the true peak.
+        let smooth = |start: usize| {
+            let rows = (0..19)
+                .map(|ch| {
+                    (0..300)
+                        .map(|i| {
+                            let s = (start + i) as f32;
+                            let f = 0.05 * (1.0 + 0.1 * ch as f32);
+                            -70.0 + 10.0 * (f * s).sin() + 3.0 * (0.013 * s + ch as f32).sin()
+                        })
+                        .collect()
+                })
+                .collect();
+            GsmTrajectory::from_rows(rows)
+        };
+        let mut cases: Vec<(String, GsmTrajectory, GsmTrajectory)> =
+            [(7u64, 30usize), (8, 55), (9, 10)]
+                .iter()
+                .map(|&(seed, off)| {
+                    let a = dense_traj(seed, 0, 300, 19);
+                    (format!("seed {seed}"), a, dense_traj(seed, off, 300, 19))
+                })
+                .collect();
+        cases.push(("smooth".into(), smooth(0), smooth(40)));
+        for (case, a, b) in cases {
             let c = cfg(19);
             let w = CheckWindow::for_context(&a, &c).unwrap();
-            let full = slide_scores_fast(&a, a.len() - w.len_m, &b, &w).unwrap();
+            let full = syn::slide_scores(&a, a.len() - w.len_m, &b, &w);
             let expect = syn::peak(&full);
-            let got = best_syn_fast(&a, a.len() - w.len_m, &b, &w).expect("dense");
+            let (got, _) = pooled_peak(&a, a.len() - w.len_m, &b, &w).expect("dense");
             match (expect, got) {
                 (Some((ei, es, er)), Some((gi, gs, gr))) => {
-                    assert_eq!(ei, gi, "seed {seed}: pruned argmax diverged");
-                    assert!(es.to_bits() == gs.to_bits(), "seed {seed}: score bits");
-                    assert!(er.to_bits() == gr.to_bits(), "seed {seed}: refine bits");
+                    assert_eq!(ei, gi, "{case}: pruned argmax diverged");
+                    assert!(es.to_bits() == gs.to_bits(), "{case}: score bits");
+                    assert!(er.to_bits() == gr.to_bits(), "{case}: refine bits");
                 }
                 (None, None) => {}
-                other => panic!("seed {seed}: {other:?}"),
+                other => panic!("{case}: {other:?}"),
             }
         }
     }
@@ -633,37 +551,12 @@ mod tests {
         let c = cfg(16);
         let w = CheckWindow::for_context(&a, &c).unwrap();
         let n_pos = b.len() - w.len_m + 1;
-        let pruned = with_scratch(|s| {
-            assert!(dense_pass(&a, a.len() - w.len_m, &b, &w, true, s));
-            let k = w.channels.len();
-            let (peak, pruned) = combine_dense_peak(
-                n_pos,
-                &s.mean_f,
-                &s.mean_s[..k],
-                &s.chan_sum,
-                &s.chan_n,
-                &mut s.profile,
-            );
-            assert!(peak.is_some());
-            pruned
-        });
+        let (peak, pruned) = pooled_peak(&a, a.len() - w.len_m, &b, &w).expect("dense");
+        assert!(peak.is_some());
         assert!(
             pruned > (n_pos as u64) / 4,
             "expected the bound to skip a sizeable share of {n_pos} placements, pruned {pruned}"
         );
-    }
-
-    #[test]
-    fn fft_entry_point_equals_reference_syn_point() {
-        let a = dense_traj(9, 0, 400, 24);
-        let b = dense_traj(9, 75, 400, 24);
-        let c = cfg(24);
-        let reference = find_best_syn(&a, &b, &c).unwrap();
-        let fast = find_best_syn_fft(&a, &b, &c).unwrap();
-        assert_eq!(reference.self_end, fast.self_end);
-        assert_eq!(reference.other_end, fast.other_end);
-        assert!((reference.score - fast.score).abs() < 1e-6);
-        assert!((reference.refine_m - fast.refine_m).abs() < 1e-4);
     }
 
     #[test]
@@ -676,17 +569,16 @@ mod tests {
         b = GsmTrajectory::from_rows(rows);
         let c = cfg(16);
         let w = CheckWindow::for_context(&a, &c).unwrap();
-        assert!(slide_scores_fast(&a, a.len() - w.len_m, &b, &w).is_none());
-        assert!(best_syn_fast(&a, a.len() - w.len_m, &b, &w).is_none());
-        // The public entry point still answers via the fallback.
-        let p = find_best_syn_fft(&a, &b, &c).unwrap();
+        assert!(pooled_peak(&a, a.len() - w.len_m, &b, &w).is_none());
+        // The public entry point still answers via the reference scan.
+        let p = find_best_syn(&a, &b, &c).unwrap();
         assert_eq!(p.self_end as i64 - p.other_end as i64, 50);
     }
 
     #[test]
     fn falls_back_on_infinite_values() {
-        // ±∞ is corrupt data, not "missing": the dense kernels must refuse
-        // it exactly like NaN so the non-finite-aware reference decides.
+        // ±∞ is corrupt data, not "missing": the dense scan must refuse it
+        // exactly like NaN so the non-finite-aware reference decides.
         let a = dense_traj(6, 0, 300, 16);
         let mut rows: Vec<Vec<f32>> = (0..16)
             .map(|ch| dense_traj(6, 50, 300, 16).channel(ch).to_vec())
@@ -695,25 +587,19 @@ mod tests {
         let b = GsmTrajectory::from_rows(rows);
         let c = cfg(16);
         let w = CheckWindow::for_context(&a, &c).unwrap();
-        assert!(slide_scores_fast(&a, a.len() - w.len_m, &b, &w).is_none());
+        assert!(pooled_peak(&a, a.len() - w.len_m, &b, &w).is_none());
         let mut out = Vec::new();
-        assert!(!dense_scores_naive_into(
-            &a,
-            a.len() - w.len_m,
-            &b,
-            &w,
-            &mut out
-        ));
+        assert!(!dense_scores_into(&a, a.len() - w.len_m, &b, &w, &mut out));
     }
 
     #[test]
-    fn window_longer_than_sliding_context_is_empty() {
+    fn window_longer_than_sliding_context_is_refused() {
         let a = dense_traj(1, 0, 120, 8);
         let b = dense_traj(1, 0, 30, 8);
         let c = cfg(8);
         let w = CheckWindow::for_context(&a, &c).unwrap();
-        let scores = slide_scores_fast(&a, a.len() - w.len_m, &b, &w).unwrap();
-        assert!(scores.is_empty());
+        assert!(pooled_peak(&a, a.len() - w.len_m, &b, &w).is_none());
+        assert!(syn::slide_scores(&a, a.len() - w.len_m, &b, &w).is_empty());
     }
 
     #[test]
@@ -724,10 +610,24 @@ mod tests {
         let w = CheckWindow::for_context(&a, &c).unwrap();
         // Warm the pool, then verify repeated calls agree (stale buffer
         // state from the pool must never leak into results).
-        let first = slide_scores_fast(&a, a.len() - w.len_m, &b, &w).unwrap();
+        let first = syn::slide_scores(&a, a.len() - w.len_m, &b, &w);
         for _ in 0..3 {
-            let again = slide_scores_fast(&a, a.len() - w.len_m, &b, &w).unwrap();
+            let again = syn::slide_scores(&a, a.len() - w.len_m, &b, &w);
             assert_eq!(first, again);
+        }
+    }
+
+    #[test]
+    fn sum_sumsq_matches_naive_within_rounding() {
+        for n in 0..35usize {
+            let x: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 0.77).cos() * 90.0 - 70.0)
+                .collect();
+            let (s, q) = sum_sumsq(&x);
+            let es: f64 = x.iter().sum();
+            let eq: f64 = x.iter().map(|v| v * v).sum();
+            assert!((s - es).abs() < 1e-9, "n={n}: {s} vs {es}");
+            assert!((q - eq).abs() < 1e-6, "n={n}: {q} vs {eq}");
         }
     }
 }

@@ -1,22 +1,17 @@
 //! Differential property tests: the batched [`SynQueryEngine`] must be
-//! score-identical to the reference double-sliding searches in [`syn`] and
-//! to the FFT fast path entry points — on hits, misses and below-threshold
-//! cases alike.
-//!
-//! The reference-kernel comparisons demand *bit* equality (the engine runs
-//! the very same `slide_scores`/`peak` code); the FFT-vs-reference
-//! comparisons allow a 1e-9 score tolerance, since the prefix-sum/FFT
-//! arithmetic legitimately reassociates floating-point sums.
+//! bit-identical to the reference double-sliding searches in [`syn`] — on
+//! hits, misses and below-threshold cases alike. Both run the same rolling
+//! scan and pruned peak; the engine only serves the own side from its
+//! caches.
 
 use proptest::prelude::*;
-use rups_core::engine::{Kernel, SynQueryEngine};
+use rups_core::engine::SynQueryEngine;
 use rups_core::gsm::{GsmTrajectory, PowerVector};
-use rups_core::syn::{self, SynPoint};
+use rups_core::syn;
 use rups_core::testfield;
 use rups_core::{RupsConfig, RupsError};
 
 const N_CHANNELS: usize = 12;
-const SCORE_TOL: f64 = 1e-9;
 
 fn traj(seed: u64, start: usize, len: usize) -> GsmTrajectory {
     let mut t = GsmTrajectory::with_capacity(N_CHANNELS, len);
@@ -43,74 +38,11 @@ fn engine_for(ours: &GsmTrajectory, cfg: &RupsConfig) -> SynQueryEngine {
     engine
 }
 
-/// FFT-vs-reference comparison: identical hit/miss outcome, scores within
-/// [`SCORE_TOL`], and the same implied trajectory shift for every point.
-///
-/// The shift (`self_end − other_end`, which fixes the resolved distance) is
-/// asserted rather than the raw `(self_end, other_end)` anchor: when two
-/// strongly-overlapping contexts make the forward and reverse passes peak at
-/// the *same* correlation, 1e-16-level reassociation noise can flip which
-/// symmetric anchor wins, without changing shift, score or distance.
-fn assert_close(
-    reference: &Result<Vec<SynPoint>, RupsError>,
-    fft: &Result<Vec<SynPoint>, RupsError>,
-) -> Result<(), TestCaseError> {
-    match (reference, fft) {
-        (Ok(a), Ok(b)) => {
-            prop_assert_eq!(a.len(), b.len(), "SYN point counts differ");
-            for (p, q) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(p.window_len, q.window_len);
-                prop_assert_eq!(
-                    p.self_end as i64 - p.other_end as i64,
-                    q.self_end as i64 - q.other_end as i64,
-                    "implied shifts diverge: reference {:?} vs fft {:?}",
-                    p,
-                    q
-                );
-                prop_assert!(
-                    (p.score - q.score).abs() <= SCORE_TOL,
-                    "scores diverge: reference {} vs fft {}",
-                    p.score,
-                    q.score
-                );
-                if p.self_end == q.self_end {
-                    prop_assert!(
-                        (p.refine_m - q.refine_m).abs() <= 1e-6,
-                        "refinements diverge: reference {} vs fft {}",
-                        p.refine_m,
-                        q.refine_m
-                    );
-                }
-            }
-        }
-        (
-            Err(RupsError::NoSynPoint {
-                best_score: a,
-                threshold: ta,
-            }),
-            Err(RupsError::NoSynPoint {
-                best_score: b,
-                threshold: tb,
-            }),
-        ) => {
-            prop_assert!(
-                (a - b).abs() <= SCORE_TOL,
-                "miss best-scores diverge: reference {a} vs fft {b}"
-            );
-            prop_assert_eq!(ta, tb, "miss thresholds differ");
-        }
-        (a, b) => {
-            prop_assert!(false, "kernel outcomes disagree: {:?} vs {:?}", a, b);
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Engine + `Kernel::Reference` is bit-identical to both the sequential
-    // and the rayon-parallel reference searches, and the single-best entry
+    // The engine is bit-identical to both the sequential and the
+    // rayon-parallel reference searches, and the single-best entry
     // points (`find_best_syn{,_parallel}`) agree with `points[0]`.
     #[test]
     fn reference_kernel_is_bit_identical_to_syn(
@@ -124,11 +56,11 @@ proptest! {
         let engine = engine_for(&ours, &c);
 
         let seq = syn::find_syn_points(&ours, &theirs, &c);
-        let eng = engine.find_syn_points_with(&theirs, Kernel::Reference, false);
+        let eng = engine.find_syn_points(&theirs);
         prop_assert_eq!(&eng, &seq, "sequential reference mismatch");
 
         let par = syn::find_syn_points_parallel(&ours, &theirs, &c);
-        let eng_par = engine.find_syn_points_with(&theirs, Kernel::Reference, true);
+        let eng_par = engine.find_syn_points_with(&theirs, true);
         prop_assert_eq!(&eng_par, &par, "parallel reference mismatch");
         prop_assert_eq!(&eng_par, &eng, "parallel vs sequential mismatch");
 
@@ -137,42 +69,6 @@ proptest! {
         let pts = eng.expect("overlapping synthetic fields must produce SYN points");
         prop_assert_eq!(best.unwrap(), pts[0], "find_best_syn disagrees");
         prop_assert_eq!(best_par.unwrap(), pts[0], "find_best_syn_parallel disagrees");
-    }
-
-    // Engine + `Kernel::Fft` is bit-identical to the standalone
-    // `find_syn_points_fft` fast path (both are built on `syn_fast`).
-    #[test]
-    fn fft_kernel_is_bit_identical_to_syn_fast(
-        seed in 1u64..100_000,
-        gap in 10usize..70,
-        len in 230usize..300,
-    ) {
-        let c = cfg();
-        let ours = traj(seed, 0, len);
-        let theirs = traj(seed, gap, len);
-        let engine = engine_for(&ours, &c);
-
-        let fft = syn::find_syn_points_fft(&ours, &theirs, &c);
-        let eng = engine.find_syn_points_with(&theirs, Kernel::Fft, false);
-        prop_assert_eq!(&eng, &fft, "fft entry point mismatch");
-    }
-
-    // The two engine kernels agree with each other within 1e-9 on the
-    // scores and exactly on every discrete placement.
-    #[test]
-    fn kernels_agree_within_tolerance(
-        seed in 1u64..100_000,
-        gap in 5usize..80,
-        len in 225usize..310,
-    ) {
-        let c = cfg();
-        let ours = traj(seed, 0, len);
-        let theirs = traj(seed, gap, len);
-        let engine = engine_for(&ours, &c);
-
-        let reference = engine.find_syn_points_with(&theirs, Kernel::Reference, false);
-        let fft = engine.find_syn_points_with(&theirs, Kernel::Fft, false);
-        assert_close(&reference, &fft)?;
     }
 
     // Unrelated journeys (disjoint synthetic fields) must miss — with the
@@ -188,7 +84,7 @@ proptest! {
         let engine = engine_for(&ours, &c);
 
         let seq = syn::find_syn_points(&ours, &theirs, &c);
-        let eng = engine.find_syn_points_with(&theirs, Kernel::Reference, false);
+        let eng = engine.find_syn_points(&theirs);
         prop_assert_eq!(&eng, &seq, "reference miss mismatch");
         prop_assert!(
             matches!(eng, Err(RupsError::NoSynPoint { .. })),
@@ -200,23 +96,5 @@ proptest! {
             Err(eng.clone().unwrap_err()),
             "find_best_syn miss mismatch"
         );
-
-        let fft = engine.find_syn_points_with(&theirs, Kernel::Fft, false);
-        assert_close(&eng, &fft)?;
     }
-}
-
-/// Deterministic spot check (not property-driven): the auto-selected kernel
-/// answers exactly like whichever kernel it chose, so `find_syn_points`
-/// never silently changes the answer relative to the explicit entry points.
-#[test]
-fn auto_kernel_matches_its_explicit_choice() {
-    let c = cfg();
-    let ours = traj(42, 0, 280);
-    let theirs = traj(42, 33, 280);
-    let engine = engine_for(&ours, &c);
-    let kernel = engine.choose_kernel(theirs.len());
-    let auto = engine.find_syn_points(&theirs);
-    let explicit = engine.find_syn_points_with(&theirs, kernel, false);
-    assert_eq!(auto, explicit);
 }

@@ -2,14 +2,12 @@
 
 use proptest::prelude::*;
 use rups_core::config::{AggregationScheme, RupsConfig};
-use rups_core::dsp::{self, Complex};
 use rups_core::geo::{angle_diff, GeoSample, GeoTrajectory};
 use rups_core::gsm::{GsmTrajectory, PowerVector};
 use rups_core::motion::DeadReckoner;
 use rups_core::resolve::resolve_relative_distance;
 use rups_core::stats;
 use rups_core::syn::{find_best_syn, slide_scores, slide_scores_reference, SynPoint};
-use rups_core::syn_fast::slide_scores_fast;
 use rups_core::testfield;
 use rups_core::window::CheckWindow;
 
@@ -270,8 +268,8 @@ proptest! {
         prop_assert!(cfg.threshold_for_window(lo) <= cfg.threshold_for_window(hi) + 1e-12);
     }
 
-    // Differential: the incremental rolling-sum scan and the packed-FFT
-    // scan against the recompute-per-placement reference, under
+    // Differential: the incremental rolling-sum scan against the
+    // recompute-per-placement reference, under
     // catastrophic-cancellation stress — long contexts whose samples sit
     // on a large constant dBm offset, so the rolled `Σx²` and the Pearson
     // variance term both cancel heavily.
@@ -300,102 +298,21 @@ proptest! {
         let fs = len - w.len_m;
         let reference = slide_scores_reference(&a, fs, &b, &w);
         let rolling = slide_scores(&a, fs, &b, &w);
-        let fft = slide_scores_fast(&a, fs, &b, &w).expect("dense input");
         prop_assert_eq!(reference.len(), rolling.len());
-        prop_assert_eq!(reference.len(), fft.len());
-        for (j, &r) in reference.iter().enumerate() {
-            for (name, v) in [("rolling", rolling[j]), ("fft", fft[j])] {
-                match (r.is_nan(), v.is_nan()) {
-                    (true, true) => {}
-                    (false, false) => prop_assert!(
-                        (r - v).abs() < 1e-6,
-                        "{} diverged at placement {}: {} vs {} (offset {})",
-                        name, j, r, v, offset
-                    ),
-                    _ => prop_assert!(
-                        false,
-                        "{} definedness mismatch at {}: {} vs {}",
-                        name, j, r, v
-                    ),
-                }
+        for (j, (&r, &v)) in reference.iter().zip(&rolling).enumerate() {
+            match (r.is_nan(), v.is_nan()) {
+                (true, true) => {}
+                (false, false) => prop_assert!(
+                    (r - v).abs() < 1e-6,
+                    "rolling diverged at placement {}: {} vs {} (offset {})",
+                    j, r, v, offset
+                ),
+                _ => prop_assert!(
+                    false,
+                    "rolling definedness mismatch at {}: {} vs {}",
+                    j, r, v
+                ),
             }
-        }
-    }
-
-    // Differential: the real complex-packing trick against two plain
-    // complex transforms, both forward orientations.
-    #[test]
-    fn packed_real_fft_matches_complex_fft(
-        a in proptest::collection::vec(-120.0f64..120.0, 1..48),
-        b in proptest::collection::vec(-120.0f64..120.0, 0..48),
-        reversed in any::<bool>(),
-    ) {
-        let size = dsp::next_pow2(a.len().max(b.len()).max(2) * 2);
-        let (mut work, mut xa, mut xb) = (Vec::new(), Vec::new(), Vec::new());
-        dsp::real_spectra_pair_into(&a, &b, reversed, size, &mut work, &mut xa, &mut xb);
-        let complex_fft = |row: &[f64]| {
-            let mut buf = vec![Complex::default(); size];
-            if reversed {
-                for (i, &v) in row.iter().rev().enumerate() {
-                    buf[i].re = v;
-                }
-            } else {
-                for (i, &v) in row.iter().enumerate() {
-                    buf[i].re = v;
-                }
-            }
-            dsp::fft(&mut buf, false);
-            buf
-        };
-        let ra = complex_fft(&a);
-        prop_assert_eq!(xa.len(), size);
-        for (k, (p, q)) in xa.iter().zip(&ra).enumerate() {
-            prop_assert!(
-                (p.re - q.re).abs() < 1e-8 && (p.im - q.im).abs() < 1e-8,
-                "channel-a bin {}: packed ({}, {}) vs complex ({}, {})",
-                k, p.re, p.im, q.re, q.im
-            );
-        }
-        if b.is_empty() {
-            prop_assert!(xb.is_empty(), "lone-channel path must leave xb cleared");
-        } else {
-            let rb = complex_fft(&b);
-            prop_assert_eq!(xb.len(), size);
-            for (k, (p, q)) in xb.iter().zip(&rb).enumerate() {
-                prop_assert!(
-                    (p.re - q.re).abs() < 1e-8 && (p.im - q.im).abs() < 1e-8,
-                    "channel-b bin {}: packed ({}, {}) vs complex ({}, {})",
-                    k, p.re, p.im, q.re, q.im
-                );
-            }
-        }
-    }
-
-    // Differential: the packed-FFT sliding dot product against the naive
-    // `O(mw)` sum, across arbitrary (including exact power-of-two
-    // boundary) length combinations.
-    #[test]
-    fn sliding_dot_matches_naive_sum(
-        seed in 0u64..10_000,
-        f_len in 1usize..48,
-        extra in 0usize..96,
-        offset in -500.0f64..500.0,
-    ) {
-        let s_len = f_len + extra;
-        let f: Vec<f64> =
-            (0..f_len).map(|i| testfield::rssi(seed, i as f64, 0) as f64 + offset).collect();
-        let s: Vec<f64> =
-            (0..s_len).map(|i| testfield::rssi(seed, i as f64, 1) as f64 + offset).collect();
-        let dots = dsp::sliding_dot(&f, &s);
-        prop_assert_eq!(dots.len(), s_len - f_len + 1);
-        let scale = 1.0 + f_len as f64 * offset * offset;
-        for (j, &d) in dots.iter().enumerate() {
-            let naive: f64 = f.iter().zip(&s[j..j + f_len]).map(|(x, y)| x * y).sum();
-            prop_assert!(
-                (d - naive).abs() < 1e-6 * scale.max(1.0),
-                "lag {}: fft {} vs naive {}",
-                j, d, naive
-            );
         }
     }
 }

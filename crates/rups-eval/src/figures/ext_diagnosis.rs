@@ -353,8 +353,7 @@ pub fn run(p: &Params) -> Figure {
         .expect("engine_target is a convoy vehicle");
 
     let mut prev_merged: Option<FleetSnapshot> = None;
-    let mut node_prev: Vec<MetricsSnapshot> =
-        registries.iter().map(|r| r.snapshot()).collect();
+    let mut node_prev: Vec<MetricsSnapshot> = registries.iter().map(|r| r.snapshot()).collect();
     // Per-node window-delta history (last DETECTION_HORIZON_W windows)
     // plus the certified healthy baseline each diagnosis compares against.
     let mut history: Vec<VecDeque<MetricsSnapshot>> = ids.iter().map(|_| VecDeque::new()).collect();
@@ -433,8 +432,7 @@ pub fn run(p: &Params) -> Figure {
                             (snap.vehicle_id, snap.geo.samples().last())
                         {
                             if let Some(idx) = ids.iter().position(|&i| i == sender) {
-                                let apparent_ns =
-                                    (newest.timestamp_s - delivery.arrival_s) * 1e9;
+                                let apparent_ns = (newest.timestamp_s - delivery.arrival_s) * 1e9;
                                 registries[idx].gauge(CLOCK_OFFSET_GAUGE).set(apparent_ns);
                             }
                         }
@@ -531,9 +529,7 @@ pub fn run(p: &Params) -> Figure {
             // Certify the oldest held window as the healthy baseline only
             // once the bank stayed quiet for the full detection horizon.
             let w = window_alarmed.len();
-            if w as u64 >= DETECTION_HORIZON_W
-                && window_alarmed[w - 3..].iter().all(|&a| !a)
-            {
+            if w as u64 >= DETECTION_HORIZON_W && window_alarmed[w - 3..].iter().all(|&a| !a) {
                 for k in 0..n {
                     certified[k] = history[k].front().cloned();
                 }
@@ -541,10 +537,7 @@ pub fn run(p: &Params) -> Figure {
         }
     }
 
-    let first_onset = p
-        .burst_onset_w
-        .min(p.clock_onset_w)
-        .min(p.engine_onset_w);
+    let first_onset = p.burst_onset_w.min(p.clock_onset_w).min(p.engine_onset_w);
     let false_alarms_before_onset = alarms
         .iter()
         .filter(|a| a.window_index < first_onset)
@@ -564,8 +557,8 @@ pub fn run(p: &Params) -> Figure {
         });
         let report = hit.map(|i| &reports[i]);
         let detected_window = hit.map(|i| alarms[i].window_index);
-        let localised_correctly = report
-            .is_some_and(|r| r.worst_node == node && r.worst_stage == stage);
+        let localised_correctly =
+            report.is_some_and(|r| r.worst_node == node && r.worst_stage == stage);
         FaultOutcome {
             name: name.to_string(),
             detector: detector.to_string(),
@@ -606,8 +599,8 @@ pub fn run(p: &Params) -> Figure {
             p.engine_clear_w,
         ),
     ];
-    let all_localised = faults.iter().all(|f| f.localised_correctly)
-        && false_alarms_before_onset == 0;
+    let all_localised =
+        faults.iter().all(|f| f.localised_correctly) && false_alarms_before_onset == 0;
 
     let artifact = DiagnosisArtifact {
         figure_id: "ext-diagnosis".into(),
@@ -648,7 +641,11 @@ pub fn run(p: &Params) -> Figure {
                 f.onset_window,
                 f.localised_node,
                 f.localised_stage,
-                if f.localised_correctly { "correct" } else { "WRONG" },
+                if f.localised_correctly {
+                    "correct"
+                } else {
+                    "WRONG"
+                },
             ),
             None => format!(
                 "{}: NOT detected within {} windows of onset {}",
@@ -750,8 +747,7 @@ mod tests {
                 .detected_window
                 .unwrap_or_else(|| panic!("{} not detected: {raw}", f.name));
             assert!(
-                w >= f.onset_window
-                    && f.detection_latency_windows.unwrap() <= DETECTION_HORIZON_W,
+                w >= f.onset_window && f.detection_latency_windows.unwrap() <= DETECTION_HORIZON_W,
                 "{} detected too late: window {w} vs onset {}",
                 f.name,
                 f.onset_window

@@ -520,9 +520,8 @@ pub fn run(p: &Params) -> Figure {
             drift_ppm: model.drift_ppm,
             sync_points,
         });
-        node_traces.push(
-            NodeTrace::new(id, format!("vehicle-{id}"), rings[k].recent()).with_clock(model),
-        );
+        node_traces
+            .push(NodeTrace::new(id, format!("vehicle-{id}"), rings[k].recent()).with_clock(model));
     }
     let (wire_model, wire_points) = estimate_clock(&sync_ts(&wire_spans), &anchor_syncs);
     clocks.push(NodeClock {
@@ -620,11 +619,7 @@ pub fn run(p: &Params) -> Figure {
     };
     let series = vec![
         series_of("fleet link delivery rate per window", &|d| {
-            ratio(
-                d,
-                &["rups_v2v_link_delivered"],
-                &["rups_v2v_link_offered"],
-            )
+            ratio(d, &["rups_v2v_link_delivered"], &["rups_v2v_link_offered"])
         }),
         series_of("fleet snapshots accepted per window", &|d| {
             d.counter("rups_core_inbox_accepted").unwrap_or(0) as f64
@@ -725,17 +720,22 @@ mod tests {
         // Fleet aggregation is live: counters from all six vehicles,
         // worst-node rankings populated, prometheus exposition rendered.
         assert_eq!(art.fleet.nodes.len(), p.n_vehicles);
-        assert!(art.fleet.merged.counter("rups_core_inbox_accepted").unwrap() > 0);
+        assert!(
+            art.fleet
+                .merged
+                .counter("rups_core_inbox_accepted")
+                .unwrap()
+                > 0
+        );
         assert!(art.fleet.merged.counter("rups_v2v_link_dropped").unwrap() > 0);
         assert!(art
             .fleet
             .worst
             .iter()
             .any(|w| w.criterion == "rups_node_fix_error_m" && !w.ranked.is_empty()));
-        assert!(art.prometheus.contains(&format!(
-            "rups_fleet_nodes {}",
-            p.n_vehicles
-        )));
+        assert!(art
+            .prometheus
+            .contains(&format!("rups_fleet_nodes {}", p.n_vehicles)));
         assert!(!art.windows.is_empty());
 
         // Clocks were recovered for every ring from the sync fenceposts.

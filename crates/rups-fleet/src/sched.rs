@@ -172,19 +172,26 @@ mod tests {
 
     #[test]
     fn skewed_batches_get_stolen() {
-        // Make the first block far more expensive than the rest: idle
-        // workers must steal from it to finish.
+        // Worker 0 is dealt tasks 0..16 and runs task 0 first; hold it there
+        // until another worker has run one of 1..16, which only a thief can
+        // do while worker 0 is held. The skew is thus forced, not timed.
         let tasks: Vec<u32> = (0..64).collect();
+        let stolen = (std::sync::Mutex::new(false), std::sync::Condvar::new());
         let (_, stats) = run_tasks(&tasks, 4, |&t| {
-            if t < 16 {
-                // Busy-work only on the first worker's initial block.
-                (0..50_000u64).fold(t as u64, |a, x| a.wrapping_mul(31).wrapping_add(x))
-            } else {
-                t as u64
+            let (flag, cv) = &stolen;
+            if t == 0 {
+                let mut done = flag.lock().unwrap();
+                while !*done {
+                    done = cv.wait(done).unwrap();
+                }
+            } else if t < 16 {
+                *flag.lock().unwrap() = true;
+                cv.notify_all();
             }
+            t as u64
         });
         assert!(stats.steals > 0, "expected steals, got {stats:?}");
-        // The expensive block cannot all have stayed on worker 0.
+        // Not every task can have run on worker 0.
         assert!(stats.per_worker[0] < 64);
         assert_eq!(stats.per_worker.iter().sum::<u64>(), 64);
     }

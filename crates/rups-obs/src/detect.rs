@@ -509,8 +509,8 @@ mod tests {
     fn histogram_p99_detector_fires_on_slowdown() {
         let reg = Registry::new();
         let lat = reg.histogram("q_ns");
-        let mut bank =
-            DetectorBank::new(vec![DetectorSpec::histogram_p99_up("p99", "q_ns")]).with_registry(&reg);
+        let mut bank = DetectorBank::new(vec![DetectorSpec::histogram_p99_up("p99", "q_ns")])
+            .with_registry(&reg);
         let mut prev = reg.snapshot();
         let mut fired = None;
         for w in 0..16u64 {
@@ -557,9 +557,7 @@ mod tests {
             all.inc();
             ok.inc();
         }
-        assert!(bank
-            .observe(10.0, &ratio_delta(&reg, &mut prev))
-            .is_empty());
+        assert!(bank.observe(10.0, &ratio_delta(&reg, &mut prev)).is_empty());
         assert_eq!(bank.windows_seen(), 11);
     }
 

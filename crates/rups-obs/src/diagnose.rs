@@ -196,8 +196,9 @@ fn stage_score(stage: Stage, w: &NodeWindow) -> Option<f64> {
         Stage::Fuse => {
             let per_solve = |s: &MetricsSnapshot| {
                 let solves = s.counter("rups_fuse_solves").unwrap_or(0);
-                (solves > 0)
-                    .then(|| s.counter("rups_fuse_edges_rejected").unwrap_or(0) as f64 / solves as f64)
+                (solves > 0).then(|| {
+                    s.counter("rups_fuse_edges_rejected").unwrap_or(0) as f64 / solves as f64
+                })
             };
             (per_solve(&w.firing)? - per_solve(&w.baseline)?) / FUSE_REJECTS_FULL
         }

@@ -407,7 +407,11 @@ mod tests {
             .find(|g| g.name == "rups_node_fix_error_m")
             .unwrap();
         // Weighted: (100·1 + 1·101) / 101 ≈ 1.99 — not the unweighted 51.
-        assert!((merged.value - 201.0 / 101.0).abs() < 1e-9, "{}", merged.value);
+        assert!(
+            (merged.value - 201.0 / 101.0).abs() < 1e-9,
+            "{}",
+            merged.value
+        );
         assert_eq!(merged.samples, 101, "merged weight sums node weights");
         // All-zero weights (never-set gauges) degrade to the plain mean.
         let a = Registry::new();
@@ -417,7 +421,12 @@ mod tests {
         let fleet = FleetAggregator::new()
             .aggregate(&[(1, a.snapshot()), (2, b.snapshot())])
             .unwrap();
-        let idle = fleet.merged.gauges.iter().find(|g| g.name == "idle").unwrap();
+        let idle = fleet
+            .merged
+            .gauges
+            .iter()
+            .find(|g| g.name == "idle")
+            .unwrap();
         assert_eq!((idle.value, idle.samples), (0.0, 0));
     }
 

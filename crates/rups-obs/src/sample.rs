@@ -352,7 +352,13 @@ impl TailSampler {
             && span.dur_ns as f64 > self.cfg.latency_factor * inner.dur_ewma.max(1.0)
     }
 
-    fn resolve(&self, inner: &mut Inner, trace_id: u64, buf: Vec<SpanRecord>, anomalous: bool) -> bool {
+    fn resolve(
+        &self,
+        inner: &mut Inner,
+        trace_id: u64,
+        buf: Vec<SpanRecord>,
+        anomalous: bool,
+    ) -> bool {
         inner.stats.traces_finished += 1;
         let slow = buf.iter().any(|s| self.latency_anomalous(inner, s));
         let keep = anomalous || slow || head_draw(trace_id, inner.head_rate);
@@ -515,7 +521,11 @@ mod tests {
             sampler.ingest(&[traced(7, 1_000)]);
         }
         assert!(sampler.finish_trace(7, true));
-        assert_eq!(sampler.committed().len(), 4, "provisional cap bounds a trace");
+        assert_eq!(
+            sampler.committed().len(),
+            4,
+            "provisional cap bounds a trace"
+        );
         // Many traces: eviction resolves the oldest (head_rate=1 keeps all).
         for t in 100..200u64 {
             sampler.ingest(&[traced(t, 1_000)]);
@@ -584,7 +594,11 @@ mod tests {
         #[cfg(feature = "obs")]
         {
             assert!(stats.demotions >= 1, "zero budget must demote");
-            assert!(stats.head_rate < 0.5, "rate halved, got {}", stats.head_rate);
+            assert!(
+                stats.head_rate < 0.5,
+                "rate halved, got {}",
+                stats.head_rate
+            );
             assert!(stats.mean_record_ns > 0.0);
             assert!(reg.snapshot().counter(OVERHEAD_DEMOTIONS).unwrap() >= 1);
         }

@@ -399,10 +399,10 @@ mod tests {
         // orphan trace id in a merged fleet trace.
         let trace_off = 4 + 1 + 1 + 2 + 4 + 8;
         for bit_of in [
-            trace_off,                        // trace_id low byte
-            trace_off + 7,                    // trace_id high byte
+            trace_off,                                // trace_id low byte
+            trace_off + 7,                            // trace_id high byte
             trace_off + TRACE_CONTEXT_WIRE_BYTES - 1, // clock high byte
-            4 + 1 + 1 + 2 + 4,                // vehicle_id low byte
+            4 + 1 + 1 + 2 + 4,                        // vehicle_id low byte
         ] {
             let mut damaged = wire.to_vec();
             damaged[bit_of] ^= 0x40;
