@@ -2,7 +2,7 @@
 //! neighbour distance queries (the §V-B heavy-traffic path).
 //!
 //! `batched` answers the whole epoch through `RupsNode::fix_distances_parallel`
-//! — one `SynQueryEngine` work-stealing pass sharing the cached interpolated
+//! — one `SynQueryEngine` task-pool pass sharing the cached interpolated
 //! context, window memo, own-side prefix sums and pooled scratch arenas.
 //! `naive` replays what every query used to cost before the engine: clone +
 //! interpolate the own context, re-select every window and run the reference

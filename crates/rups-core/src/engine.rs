@@ -14,7 +14,7 @@
 //!   changes;
 //! * per-`(len, end)` checking windows (channel selection + threshold);
 //! * reusable scratch arenas (conversion buffers, rolling accumulators,
-//!   score vectors), pooled so concurrent rayon queries allocate nothing
+//!   score vectors), pooled so concurrent batch queries allocate nothing
 //!   in steady state.
 //!
 //! Every directed pass runs the one dense scan of [`crate::syn_fast`] —
@@ -29,12 +29,13 @@ use crate::config::RupsConfig;
 use crate::error::RupsError;
 use crate::gsm::GsmTrajectory;
 use crate::pipeline::{ContextSnapshot, DistanceFix};
+use crate::pool;
 use crate::resolve;
 use crate::syn::{self, SynPoint};
 use crate::syn_fast;
 use crate::window::CheckWindow;
-use rayon::prelude::*;
 use rups_obs::{Counter, Histogram, Registry, SpanArgs, SpanRecorder, TraceContext};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -210,9 +211,9 @@ type Scratch = syn_fast::DenseScratch;
 /// Caching, batching SYN-query engine (see the module docs).
 ///
 /// All methods take `&self`: caches use interior mutability so queries can
-/// fan out over rayon. An engine is cheap to create; its caches warm up on
-/// first use and are invalidated whenever a new context version is
-/// installed.
+/// fan out over [`crate::pool`]. An engine is cheap to create; its caches
+/// warm up on first use and are invalidated whenever a new context version
+/// is installed.
 pub struct SynQueryEngine {
     cfg: RupsConfig,
     ctx: RwLock<Option<Arc<OwnContext>>>,
@@ -453,18 +454,13 @@ impl SynQueryEngine {
     /// match [`crate::syn::find_syn_points`] run against the same
     /// interpolated context.
     pub fn find_syn_points(&self, theirs: &GsmTrajectory) -> Result<Vec<SynPoint>, RupsError> {
-        self.find_syn_points_in(self.current_ctx(), theirs, false)
-    }
-
-    /// [`find_syn_points`](Self::find_syn_points) with rayon-parallel
-    /// placement scoring on the sparse fallback when `parallel` is set
-    /// (bit-identical to [`crate::syn::find_syn_points_parallel`]).
-    pub fn find_syn_points_with(
-        &self,
-        theirs: &GsmTrajectory,
-        parallel: bool,
-    ) -> Result<Vec<SynPoint>, RupsError> {
-        self.find_syn_points_in(self.current_ctx(), theirs, parallel)
+        match self.current_ctx() {
+            Some(ctx) => self.query_ctx_counted(&ctx, theirs, &mut 0, None),
+            None => Err(RupsError::InsufficientContext {
+                available_m: 0,
+                required_m: self.cfg.min_window_len_m.max(2),
+            }),
+        }
     }
 
     /// Best single SYN point (the first entry of the multi-SYN search, like
@@ -481,12 +477,16 @@ impl SynQueryEngine {
         self.build_fix(self.context_len(), neighbour.gsm.len(), points)
     }
 
-    /// Fixes distances to a whole epoch of neighbours in one rayon
-    /// work-stealing pass, preserving input order; scratch arenas are
-    /// pooled across the tasks.
+    /// Fixes distances to a whole epoch of neighbours in one
+    /// [`pool::run_tasks`] pass over every available hardware thread,
+    /// preserving input order; scratch arenas are pooled across the tasks.
     pub fn fix_batch(&self, neighbours: &[ContextSnapshot]) -> Vec<Result<DistanceFix, RupsError>> {
         match self.current_ctx() {
-            Some(ctx) => self.fix_batch_ctx(&ctx, neighbours),
+            Some(ctx) => self
+                .fix_batch_ctx_diag(&ctx, neighbours)
+                .into_iter()
+                .map(|(res, _)| res)
+                .collect(),
             None => neighbours
                 .iter()
                 .map(|_| {
@@ -499,39 +499,27 @@ impl SynQueryEngine {
         }
     }
 
-    pub(crate) fn fix_batch_ctx(
+    /// The batch pass against an already-resolved own context, with
+    /// per-query [`QueryDiag`]s feeding fix explainability in the pipeline.
+    pub(crate) fn fix_batch_ctx_diag<S: Borrow<ContextSnapshot> + Sync>(
         &self,
         ctx: &Arc<OwnContext>,
-        neighbours: &[ContextSnapshot],
-    ) -> Vec<Result<DistanceFix, RupsError>> {
-        self.fix_batch_ctx_diag(ctx, neighbours)
-            .into_iter()
-            .map(|(res, _)| res)
-            .collect()
-    }
-
-    /// [`fix_batch_ctx`](Self::fix_batch_ctx) that also returns per-query
-    /// [`QueryDiag`]s, feeding fix explainability in the pipeline.
-    pub(crate) fn fix_batch_ctx_diag(
-        &self,
-        ctx: &Arc<OwnContext>,
-        neighbours: &[ContextSnapshot],
+        neighbours: &[S],
     ) -> Vec<(Result<DistanceFix, RupsError>, QueryDiag)> {
-        neighbours
-            .par_iter()
-            .map(|nb| {
-                let mut scanned = 0u32;
-                let res = self
-                    .query_ctx_counted(ctx, &nb.gsm, false, &mut scanned, nb.trace)
-                    .and_then(|points| self.build_fix(ctx.gsm.len(), nb.gsm.len(), points));
-                (
-                    res,
-                    QueryDiag {
-                        windows_scanned: scanned,
-                    },
-                )
-            })
-            .collect()
+        let (out, _) = pool::run_tasks(neighbours, pool::available_workers(), |nb| {
+            let nb = nb.borrow();
+            let mut scanned = 0u32;
+            let res = self
+                .query_ctx_counted(ctx, &nb.gsm, &mut scanned, nb.trace)
+                .and_then(|points| self.build_fix(ctx.gsm.len(), nb.gsm.len(), points));
+            (
+                res,
+                QueryDiag {
+                    windows_scanned: scanned,
+                },
+            )
+        });
+        out
     }
 
     pub(crate) fn build_fix(
@@ -556,44 +544,17 @@ impl SynQueryEngine {
         })
     }
 
-    fn find_syn_points_in(
-        &self,
-        ctx: Option<Arc<OwnContext>>,
-        theirs: &GsmTrajectory,
-        parallel: bool,
-    ) -> Result<Vec<SynPoint>, RupsError> {
-        match ctx {
-            Some(ctx) => self.query_ctx(&ctx, theirs, parallel),
-            None => Err(RupsError::InsufficientContext {
-                available_m: 0,
-                required_m: self.cfg.min_window_len_m.max(2),
-            }),
-        }
-    }
-
-    /// The engine's replica of `syn::find_syn_points_impl`: identical
+    /// The engine's replica of [`crate::syn::find_syn_points`]: identical
     /// control flow (adaptive length, forward + perspective-swapped reverse
     /// passes, threshold filtering, multi-SYN stride loop), with the own
-    /// side served from the cache.
-    pub(crate) fn query_ctx(
-        &self,
-        ctx: &OwnContext,
-        theirs: &GsmTrajectory,
-        parallel: bool,
-    ) -> Result<Vec<SynPoint>, RupsError> {
-        let mut scanned = 0u32;
-        self.query_ctx_counted(ctx, theirs, parallel, &mut scanned, None)
-    }
-
-    /// [`query_ctx`](Self::query_ctx) that counts the directed sliding
-    /// passes it actually ran into `scanned`. When the neighbour snapshot
-    /// carried a [`TraceContext`] the `engine.query` span joins that causal
-    /// trace (its args gain `trace` + `clock` alongside the window sizes).
+    /// side served from the cache. Counts the directed sliding passes it
+    /// actually ran into `scanned`. When the neighbour snapshot carried a
+    /// [`TraceContext`] the `engine.query` span joins that causal trace
+    /// (its args gain `trace` + `clock` alongside the window sizes).
     pub(crate) fn query_ctx_counted(
         &self,
         ctx: &OwnContext,
         theirs: &GsmTrajectory,
-        parallel: bool,
         scanned: &mut u32,
         trace: Option<TraceContext>,
     ) -> Result<Vec<SynPoint>, RupsError> {
@@ -631,11 +592,11 @@ impl SynQueryEngine {
                 .window_entry(ctx, w, ours.len())
                 .ok_or_else(too_short)?;
             *scanned += 1;
-            let fwd = self.directed(ours, ours.len(), theirs, &window, parallel, scratch);
+            let fwd = self.directed(ours, ours.len(), theirs, &window, scratch);
             let rev = CheckWindow::with_len(theirs, &self.cfg, w, theirs.len())
                 .and_then(|wnd| {
                     *scanned += 1;
-                    self.directed(theirs, theirs.len(), ours, &wnd, parallel, scratch)
+                    self.directed(theirs, theirs.len(), ours, &wnd, scratch)
                 })
                 .map(syn::swap_perspective);
             let best = match syn::better_pass(fwd, rev) {
@@ -654,7 +615,7 @@ impl SynQueryEngine {
                 });
             }
             let mut points = vec![best];
-            // Older segments, symmetrically (cf. syn::find_syn_points_impl).
+            // Older segments, symmetrically (cf. syn::find_syn_points).
             for s in 1..self.cfg.n_syn_points {
                 let fwd = ours
                     .len()
@@ -663,7 +624,7 @@ impl SynQueryEngine {
                     .and_then(|end| self.window_entry(ctx, w, end).map(|e| (end, e)))
                     .and_then(|(end, wnd)| {
                         *scanned += 1;
-                        self.directed(ours, end, theirs, &wnd, parallel, scratch)
+                        self.directed(ours, end, theirs, &wnd, scratch)
                             .filter(|p| p.score >= wnd.threshold)
                     });
                 let rev = theirs
@@ -675,7 +636,7 @@ impl SynQueryEngine {
                     })
                     .and_then(|(end, wnd)| {
                         *scanned += 1;
-                        self.directed(theirs, end, ours, &wnd, parallel, scratch)
+                        self.directed(theirs, end, ours, &wnd, scratch)
                             .filter(|p| p.score >= wnd.threshold)
                     })
                     .map(syn::swap_perspective);
@@ -697,7 +658,6 @@ impl SynQueryEngine {
         end: usize,
         sliding: &GsmTrajectory,
         window: &CheckWindow,
-        parallel: bool,
         scratch: &mut Scratch,
     ) -> Option<SynPoint> {
         let w = window.len_m;
@@ -707,7 +667,7 @@ impl SynQueryEngine {
         let scan_t = self.metrics.kernel_scan_ns.start_timer();
         let scan_s = self.spans.as_ref().map(|s| s.span("engine.kernel_scan"));
         self.metrics.reference_passes.inc();
-        let (best, pruned) = syn::pass_peak(fixed, end - w, sliding, window, parallel, scratch);
+        let (best, pruned) = syn::pass_peak(fixed, end - w, sliding, window, scratch);
         self.metrics.pruned_placements.add(pruned);
         drop(scan_t);
         drop(scan_s);
@@ -847,11 +807,9 @@ mod tests {
         };
         let engine = SynQueryEngine::new(c.clone());
         engine.set_context(&ours);
-        for parallel in [false, true] {
-            let got = engine.find_syn_points_with(&theirs, parallel).unwrap();
-            let expect = syn::find_syn_points(&ours, &theirs, &c).unwrap();
-            assert_eq!(expect, got, "parallel={parallel}");
-        }
+        let got = engine.find_syn_points(&theirs).unwrap();
+        let expect = syn::find_syn_points(&ours, &theirs, &c).unwrap();
+        assert_eq!(expect, got);
     }
 
     #[test]

@@ -76,6 +76,7 @@ pub mod gsm;
 pub mod inbox;
 pub mod motion;
 pub mod pipeline;
+pub mod pool;
 pub mod quality;
 pub mod report;
 pub mod resolve;

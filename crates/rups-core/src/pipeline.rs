@@ -20,6 +20,7 @@ use crate::syn::SynPoint;
 use crate::tracker::{NeighbourTracker, TrackedFix};
 use rups_obs::{Counter, FlightRecorder, Registry, SpanRecorder, TailSampler, TraceContext};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -415,34 +416,11 @@ impl RupsNode {
     ///
     /// Positive distances mean the neighbour is ahead.
     pub fn fix_distance(&self, neighbour: &ContextSnapshot) -> Result<DistanceFix, RupsError> {
-        self.fix_distance_impl(neighbour, false)
-    }
-
-    /// Like [`RupsNode::fix_distance`] but parallelises the sliding-window
-    /// search over the rayon pool — the right call for long contexts or
-    /// when servicing many neighbours at once.
-    pub fn fix_distance_parallel(
-        &self,
-        neighbour: &ContextSnapshot,
-    ) -> Result<DistanceFix, RupsError> {
-        self.fix_distance_impl(neighbour, true)
-    }
-
-    fn fix_distance_impl(
-        &self,
-        neighbour: &ContextSnapshot,
-        parallel: bool,
-    ) -> Result<DistanceFix, RupsError> {
         self.validate_neighbour(neighbour)?;
         let ctx = self.engine.ensure_context(self.context_version, &self.gsm);
-        let mut scanned = 0u32;
-        let points = self.engine.query_ctx_counted(
-            &ctx,
-            &neighbour.gsm,
-            parallel,
-            &mut scanned,
-            neighbour.trace,
-        )?;
+        let points =
+            self.engine
+                .query_ctx_counted(&ctx, &neighbour.gsm, &mut 0, neighbour.trace)?;
         self.engine
             .build_fix(ctx.gsm().len(), neighbour.gsm.len(), points)
     }
@@ -518,11 +496,11 @@ impl RupsNode {
         self.trackers.len()
     }
 
-    /// Fixes distances to many neighbours concurrently (one rayon task per
-    /// neighbour), preserving input order. This is the heavy-traffic path
-    /// discussed in §V-B: one epoch of queries runs as a single batched
-    /// work-stealing pass through the engine, with the own-side caches
-    /// shared across every task.
+    /// Fixes distances to many neighbours concurrently (one
+    /// [`crate::pool`] task per neighbour), preserving input order. This is
+    /// the heavy-traffic path discussed in §V-B: one epoch of queries runs
+    /// as a single batched pass through the engine, with the own-side
+    /// caches shared across every task.
     pub fn fix_distances_parallel(
         &self,
         neighbours: &[ContextSnapshot],
@@ -537,7 +515,10 @@ impl RupsNode {
     /// The batch path with per-query [`QueryDiag`]s, plus whether the own
     /// context was served from the engine cache (false when this batch
     /// forced a rebuild).
-    fn fix_distances_parallel_diag(&self, neighbours: &[ContextSnapshot]) -> (DiagBatch, bool) {
+    fn fix_distances_parallel_diag<S: Borrow<ContextSnapshot> + Sync>(
+        &self,
+        neighbours: &[S],
+    ) -> (DiagBatch, bool) {
         let rebuilds_before = self.engine.stats().context_rebuilds;
         let ctx = self.engine.ensure_context(self.context_version, &self.gsm);
         let context_cached = self.engine.stats().context_rebuilds == rebuilds_before;
@@ -545,7 +526,7 @@ impl RupsNode {
         // Surface structural problems as their typed errors, preserving
         // positions: the engine only reports what its kernels notice.
         for (nb, slot) in neighbours.iter().zip(out.iter_mut()) {
-            if let Err(e) = self.validate_neighbour(nb) {
+            if let Err(e) = self.validate_neighbour(nb.borrow()) {
                 slot.0 = Err(e);
             }
         }
@@ -567,8 +548,7 @@ impl RupsNode {
         quality: &QualityConfig,
     ) -> Vec<(Option<u64>, Result<GradedFix, RupsError>)> {
         let fresh = inbox.fresh(now_s);
-        let snaps: Vec<ContextSnapshot> = fresh.iter().map(|s| (*s).clone()).collect();
-        let (fixes, context_cached) = self.fix_distances_parallel_diag(&snaps);
+        let (fixes, context_cached) = self.fix_distances_parallel_diag(&fresh);
         let out: Vec<(Option<u64>, Result<GradedFix, RupsError>)> = fresh
             .iter()
             .zip(fixes)
@@ -733,19 +713,6 @@ mod tests {
             "distance {}",
             fix_b.distance_m
         );
-    }
-
-    #[test]
-    fn parallel_query_agrees_with_sequential() {
-        let mut a = RupsNode::new(cfg());
-        let mut b = RupsNode::new(cfg());
-        drive(&mut a, 0, 300);
-        drive(&mut b, 40, 300);
-        let snap = b.snapshot(None);
-        let s = a.fix_distance(&snap).unwrap();
-        let p = a.fix_distance_parallel(&snap).unwrap();
-        assert_eq!(s.syn_points.len(), p.syn_points.len());
-        assert!((s.distance_m - p.distance_m).abs() < 1e-9);
     }
 
     #[test]
@@ -956,17 +923,13 @@ mod tests {
         let mut a = RupsNode::new(cfg());
         drive(&mut a, 0, 400);
         let bad = mismatched_neighbour(70, 400, 16);
-        // Single-shot paths.
+        // Single-shot path.
         assert!(matches!(
             a.fix_distance(&bad),
             Err(RupsError::ChannelMismatch {
                 ours: 32,
                 theirs: 16
             })
-        ));
-        assert!(matches!(
-            a.fix_distance_parallel(&bad),
-            Err(RupsError::ChannelMismatch { .. })
         ));
         // Tracked path: previously the anchored incremental re-query could
         // bypass the engine's check; validation now happens up front and no

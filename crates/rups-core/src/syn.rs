@@ -8,16 +8,12 @@
 //! placement with the trajectory correlation coefficient of Eq. (2). The
 //! placement with the maximum score wins, provided it clears the coherency
 //! threshold; otherwise the two trajectories are declared unrelated.
-//!
-//! The search over window placements is embarrassingly parallel; the
-//! `*_parallel` variants fan the placements out over rayon.
 
 use crate::config::RupsConfig;
 use crate::error::RupsError;
 use crate::gsm::GsmTrajectory;
 use crate::syn_fast::{self, DenseScratch, Peak};
 use crate::window::CheckWindow;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A matched pair of trajectory offsets.
@@ -126,54 +122,6 @@ fn slide_scores_reference_into(
             )
             .unwrap_or(f64::NAN)
     }));
-}
-
-/// Parallel variant of [`slide_scores`]; placements are scored across the
-/// rayon pool. Results are identical.
-///
-/// Dense inputs dispatch to the same sequential rolling scan as
-/// [`slide_scores`] — it is already `O(1)` per placement, so forking the
-/// pool would cost more than it saves, and sharing the scan keeps the
-/// parallel scores bit-identical to the sequential ones. Sparse inputs fan
-/// the per-placement recomputation out over rayon.
-pub fn slide_scores_parallel(
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding: &GsmTrajectory,
-    window: &CheckWindow,
-) -> Vec<f64> {
-    let mut out = Vec::new();
-    if syn_fast::dense_scores_into(fixed, fixed_start, sliding, window, &mut out) {
-        return out;
-    }
-    slide_scores_reference_parallel(fixed, fixed_start, sliding, window)
-}
-
-/// [`slide_scores_reference`] with the placements fanned out over rayon.
-fn slide_scores_reference_parallel(
-    fixed: &GsmTrajectory,
-    fixed_start: usize,
-    sliding: &GsmTrajectory,
-    window: &CheckWindow,
-) -> Vec<f64> {
-    let w = window.len_m;
-    if sliding.len() < w {
-        return Vec::new();
-    }
-    let n_pos = sliding.len() - w + 1;
-    (0..n_pos)
-        .into_par_iter()
-        .map(|j| {
-            fixed
-                .correlation(
-                    fixed_start..fixed_start + w,
-                    sliding,
-                    j..j + w,
-                    Some(&window.channels),
-                )
-                .unwrap_or(f64::NAN)
-        })
-        .collect()
 }
 
 /// Correlation score of one fixed segment against window placements whose
@@ -295,25 +243,20 @@ pub(crate) fn better_pass(fwd: Option<SynPoint>, rev: Option<SynPoint>) -> Optio
 ///
 /// Dense inputs run the rolling scan with the exact pruned peak of
 /// [`crate::syn_fast`], bit-identical to `peak(&slide_scores(..))`; inputs
-/// with missing or non-finite samples fall back to the reference scan,
-/// with the placements fanned out over rayon when `parallel` is set. Shared with
-/// [`crate::engine`] so both search paths pick peaks identically.
+/// with missing or non-finite samples fall back to the reference scan.
+/// Shared with [`crate::engine`] so both search paths pick peaks
+/// identically.
 pub(crate) fn pass_peak(
     fixed: &GsmTrajectory,
     fixed_start: usize,
     sliding: &GsmTrajectory,
     window: &CheckWindow,
-    parallel: bool,
     s: &mut DenseScratch,
 ) -> (Option<Peak>, u64) {
     if let Some(found) = syn_fast::dense_peak(fixed, fixed_start, sliding, window, s) {
         return found;
     }
-    if parallel {
-        s.scores = slide_scores_reference_parallel(fixed, fixed_start, sliding, window);
-    } else {
-        slide_scores_reference_into(fixed, fixed_start, sliding, window, &mut s.scores);
-    }
+    slide_scores_reference_into(fixed, fixed_start, sliding, window, &mut s.scores);
     (peak(&s.scores), 0)
 }
 
@@ -325,13 +268,12 @@ fn directed_best(
     a_end: usize,
     b: &GsmTrajectory,
     window: &CheckWindow,
-    parallel: bool,
 ) -> Option<SynPoint> {
     let w = window.len_m;
     if a_end < w || b.len() < w {
         return None;
     }
-    let (best, _) = syn_fast::with_scratch(|s| pass_peak(a, a_end - w, b, window, parallel, s));
+    let (best, _) = syn_fast::with_scratch(|s| pass_peak(a, a_end - w, b, window, s));
     let (j, score, refine) = best?;
     Some(SynPoint {
         self_end: a_end,
@@ -354,24 +296,6 @@ pub fn find_best_syn(
     theirs: &GsmTrajectory,
     cfg: &RupsConfig,
 ) -> Result<SynPoint, RupsError> {
-    find_best_syn_impl(ours, theirs, cfg, false)
-}
-
-/// Parallel variant of [`find_best_syn`] (placements scored across rayon).
-pub fn find_best_syn_parallel(
-    ours: &GsmTrajectory,
-    theirs: &GsmTrajectory,
-    cfg: &RupsConfig,
-) -> Result<SynPoint, RupsError> {
-    find_best_syn_impl(ours, theirs, cfg, true)
-}
-
-fn find_best_syn_impl(
-    ours: &GsmTrajectory,
-    theirs: &GsmTrajectory,
-    cfg: &RupsConfig,
-    parallel: bool,
-) -> Result<SynPoint, RupsError> {
     if ours.n_channels() != theirs.n_channels() {
         return Err(RupsError::ChannelMismatch {
             ours: ours.n_channels(),
@@ -390,12 +314,12 @@ fn find_best_syn_impl(
     let window = CheckWindow::with_len(ours, cfg, len, ours.len()).ok_or_else(too_short)?;
 
     // Pass 1: our most recent window over their trajectory.
-    let fwd = directed_best(ours, ours.len(), theirs, &window, parallel);
+    let fwd = directed_best(ours, ours.len(), theirs, &window);
     // Pass 2: their most recent window over our trajectory (window channels
     // re-selected from their context).
     let rev_window = CheckWindow::with_len(theirs, cfg, window.len_m, theirs.len());
     let rev = rev_window
-        .and_then(|wnd| directed_best(theirs, theirs.len(), ours, &wnd, parallel))
+        .and_then(|wnd| directed_best(theirs, theirs.len(), ours, &wnd))
         // A reverse-pass hit anchors *their* end and a window on *us*; swap
         // roles so the SynPoint is always expressed from our perspective.
         .map(swap_perspective);
@@ -431,24 +355,6 @@ pub fn find_syn_points(
     theirs: &GsmTrajectory,
     cfg: &RupsConfig,
 ) -> Result<Vec<SynPoint>, RupsError> {
-    find_syn_points_impl(ours, theirs, cfg, false)
-}
-
-/// Parallel variant of [`find_syn_points`].
-pub fn find_syn_points_parallel(
-    ours: &GsmTrajectory,
-    theirs: &GsmTrajectory,
-    cfg: &RupsConfig,
-) -> Result<Vec<SynPoint>, RupsError> {
-    find_syn_points_impl(ours, theirs, cfg, true)
-}
-
-fn find_syn_points_impl(
-    ours: &GsmTrajectory,
-    theirs: &GsmTrajectory,
-    cfg: &RupsConfig,
-    parallel: bool,
-) -> Result<Vec<SynPoint>, RupsError> {
     if ours.n_channels() != theirs.n_channels() {
         return Err(RupsError::ChannelMismatch {
             ours: ours.n_channels(),
@@ -457,7 +363,7 @@ fn find_syn_points_impl(
     }
     // The first (most recent) segment uses the full double-sliding check so
     // single-SYN behaviour is preserved.
-    let first = find_best_syn_impl(ours, theirs, cfg, parallel)?;
+    let first = find_best_syn(ours, theirs, cfg)?;
     let mut points = vec![first];
     let w = first.window_len;
 
@@ -473,8 +379,7 @@ fn find_syn_points_impl(
             .filter(|&end| end >= w)
             .and_then(|end| CheckWindow::with_len(ours, cfg, w, end).map(|wnd| (end, wnd)))
             .and_then(|(end, wnd)| {
-                directed_best(ours, end, theirs, &wnd, parallel)
-                    .filter(|p| p.score >= wnd.threshold)
+                directed_best(ours, end, theirs, &wnd).filter(|p| p.score >= wnd.threshold)
             });
         let rev = theirs
             .len()
@@ -482,8 +387,7 @@ fn find_syn_points_impl(
             .filter(|&end| end >= w)
             .and_then(|end| CheckWindow::with_len(theirs, cfg, w, end).map(|wnd| (end, wnd)))
             .and_then(|(end, wnd)| {
-                directed_best(theirs, end, ours, &wnd, parallel)
-                    .filter(|p| p.score >= wnd.threshold)
+                directed_best(theirs, end, ours, &wnd).filter(|p| p.score >= wnd.threshold)
             })
             .map(swap_perspective);
         if let Some(p) = better_pass(fwd, rev) {
@@ -536,17 +440,6 @@ mod tests {
             "noise-free self-match should be near 2, got {}",
             p.score
         );
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let a = road_traj(0, 300, 24);
-        let b = road_traj(45, 300, 24);
-        let ps = find_best_syn(&a, &b, &cfg(24)).unwrap();
-        let pp = find_best_syn_parallel(&a, &b, &cfg(24)).unwrap();
-        assert_eq!(ps.self_end, pp.self_end);
-        assert_eq!(ps.other_end, pp.other_end);
-        assert!((ps.score - pp.score).abs() < 1e-12);
     }
 
     #[test]
@@ -632,19 +525,6 @@ mod tests {
         // Most recent first.
         assert_eq!(pts[0].self_end, 500);
         assert!(pts.windows(2).all(|w| w[1].self_end < w[0].self_end));
-    }
-
-    #[test]
-    fn multi_syn_parallel_matches_sequential() {
-        let a = road_traj(0, 400, 16);
-        let b = road_traj(30, 400, 16);
-        let s = find_syn_points(&a, &b, &cfg(16)).unwrap();
-        let p = find_syn_points_parallel(&a, &b, &cfg(16)).unwrap();
-        assert_eq!(s.len(), p.len());
-        for (x, y) in s.iter().zip(&p) {
-            assert_eq!(x.self_end, y.self_end);
-            assert_eq!(x.other_end, y.other_end);
-        }
     }
 
     #[test]

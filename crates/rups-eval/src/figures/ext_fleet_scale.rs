@@ -5,20 +5,20 @@
 //! sweeps all-neighbour queries in a small convoy on one engine. This
 //! experiment measures the *system* path instead: hundreds of vehicles on
 //! one 8-lane road, bucketed by a uniform-grid [`CellIndex`], owned by
-//! geographic shards with cross-shard beacon routing, and queried by the
-//! work-stealing epoch scheduler. Each `(fleet size × worker count)` cell
+//! geographic shards with cross-shard beacon routing, and queried on the
+//! `rups-core` task pool. Each `(fleet size × worker count)` cell
 //! runs the same scenario and records:
 //!
 //! * **Sub-quadratic pair workload** — ordered halo candidates per epoch
 //!   versus the all-pairs bound `n·(n−1)`; the committed artefact asserts
 //!   the halo keeps a large fleet far below the quadratic bound.
 //! * **Worker scaling** — successful fixes per query-phase wall second at
-//!   1, 2, … workers, plus the per-core rate; the scheduler's determinism
+//!   1, 2, … workers, plus the per-core rate; the pool's determinism
 //!   guarantee means every worker count produces the *same* fixes, so the
 //!   curves measure pure execution speed.
-//! * **Machinery coverage** — shard re-homings, cross-shard relays and
-//!   steal counts, proving the run exercised the layer rather than one
-//!   degenerate shard.
+//! * **Machinery coverage** — shard re-homings and cross-shard relays,
+//!   proving the run exercised the layer rather than one degenerate
+//!   shard.
 //!
 //! Committed artefact: `results/ext-fleet-scale.json`.
 //!
@@ -132,8 +132,6 @@ pub struct ScaleCell {
     pub pair_bound: usize,
     /// `candidates / pair_bound` — the sub-quadratic headline.
     pub halo_fraction: f64,
-    /// Scheduler steal operations over all epochs.
-    pub steals: u64,
     /// Shard re-homings over all measured epochs.
     pub rehomes: usize,
     /// Cross-shard beacons relayed over all measured epochs.
@@ -157,7 +155,7 @@ pub struct ScaleArtifact {
     /// Hardware threads available where the artefact was generated.
     /// Worker-scaling comparisons are only meaningful when this is > 1 —
     /// on a single-core box the wall clock cannot show a speedup, so
-    /// consumers (CI asserts, the in-crate test) gate on it.
+    /// consumers (CI asserts, the `fleet_scale` integration test) gate on it.
     pub threads_available: usize,
     /// Geographic shards every cell ran with.
     pub n_shards: usize,
@@ -202,7 +200,6 @@ fn run_cell(p: &Params, n_vehicles: usize, workers: usize) -> ScaleCell {
         candidates,
         pair_bound,
         halo_fraction: candidates as f64 / pair_bound as f64,
-        steals: run.epochs.iter().map(|e| e.steals.steals).sum(),
         rehomes: run.epochs.iter().map(|e| e.rehomes).sum(),
         relayed: run.epochs.iter().map(|e| e.relayed).sum(),
         query_wall_s,
@@ -241,7 +238,7 @@ pub fn run(p: &Params) -> Figure {
     for c in &artifact.cells {
         notes.push(format!(
             "n={} w={}: {} fixes in {:.3} s ({:.0}/s, {:.0}/s/core), halo {}/{} pairs ({:.1} %), \
-             {} steals, {} rehomes, {} relays, err {:.2} m",
+             {} rehomes, {} relays, err {:.2} m",
             c.n_vehicles,
             c.workers,
             c.fixes_ok,
@@ -251,7 +248,6 @@ pub fn run(p: &Params) -> Figure {
             c.candidates,
             c.pair_bound,
             100.0 * c.halo_fraction,
-            c.steals,
             c.rehomes,
             c.relayed,
             c.mean_abs_err_m,
@@ -330,59 +326,4 @@ fn write_artifact(path: &str, artifact: &ScaleArtifact) {
     }
     let json = serde_json::to_string_pretty(artifact).expect("serialize fleet-scale artifact");
     std::fs::write(p, json).expect("write fleet-scale artifact");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn halo_stays_subquadratic_and_workers_agree() {
-        // Small fleet so the debug-build test stays quick; the quick/paper
-        // sweeps cross 200 vehicles in the release smoke run.
-        let mut p = quick_params();
-        p.vehicle_counts = vec![48];
-        p.worker_counts = vec![1, 2];
-        p.warmup_s = 20;
-        p.epochs = 2;
-        let out = std::env::temp_dir().join("rups-ext-fleet-scale-test.json");
-        p.out_path = Some(out.to_string_lossy().into_owned());
-        let fig = run(&p);
-
-        let raw = std::fs::read_to_string(&out).expect("artefact written");
-        std::fs::remove_file(&out).ok();
-        let art: ScaleArtifact = serde_json::from_str(&raw).expect("artefact parses");
-        assert_eq!(art.figure_id, "ext-fleet-scale");
-        assert_eq!(art.cells.len(), 2);
-
-        for c in &art.cells {
-            assert!(c.fixes_ok > 0, "cell produced no fixes: {c:?}");
-            // The tentpole claim: the 3×3 halo admits far fewer ordered
-            // pairs than the quadratic bound.
-            assert!(
-                c.halo_fraction < 0.5,
-                "halo fraction {:.3} not sub-quadratic: {c:?}",
-                c.halo_fraction
-            );
-            assert!(c.tasks <= c.candidates);
-            assert!(c.mean_abs_err_m.is_finite() && c.mean_abs_err_m < 15.0);
-        }
-        // Determinism: worker count changes throughput, never results.
-        assert_eq!(art.cells[0].fixes_ok, art.cells[1].fixes_ok);
-        assert_eq!(art.cells[0].tasks, art.cells[1].tasks);
-
-        // Worker scaling is a wall-clock claim, only checkable where the
-        // hardware can actually run workers side by side.
-        if art.threads_available > 1 {
-            assert!(
-                art.cells[1].fixes_per_sec > art.cells[0].fixes_per_sec,
-                "2 workers not faster than 1 on {} threads: {:?}",
-                art.threads_available,
-                art.cells
-            );
-        }
-
-        // One throughput series per worker count plus the halo series.
-        assert_eq!(fig.series.len(), p.worker_counts.len() + 1);
-    }
 }

@@ -5,9 +5,9 @@ use crate::tracegen::ScenarioTrace;
 use gps_sim::{relative_distance_gps, GpsFix, GpsReceiver};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
-use rayon::prelude::*;
 use rups_core::config::RupsConfig;
 use rups_core::pipeline::DistanceFix;
+use rups_core::pool;
 use rups_core::resolve;
 use rups_core::syn;
 use serde::{Deserialize, Serialize};
@@ -131,9 +131,12 @@ pub fn sample_query_times(trace: &ScenarioTrace, n: usize, seed: u64) -> Vec<f64
     candidates
 }
 
-/// Runs many queries across the rayon pool.
+/// Runs many queries across every available hardware thread.
 pub fn run_queries(trace: &ScenarioTrace, cfg: &RupsConfig, times: &[f64]) -> Vec<QueryOutcome> {
-    times.par_iter().map(|&t| query_at(trace, cfg, t)).collect()
+    pool::run_tasks(times, pool::available_workers(), |&t| {
+        query_at(trace, cfg, t)
+    })
+    .0
 }
 
 /// GPS baseline: 1 Hz fixes for both vehicles over the whole drive, then

@@ -18,8 +18,8 @@
 //!    codec into its vetted inbox.
 //! 5. **query** — all pending `(observer, neighbour)` fix queries within
 //!    the configured radius are built in globally sorted order and drained
-//!    by the work-stealing scheduler ([`crate::sched`]); results land in
-//!    task order, so the output is deterministic for any worker count.
+//!    by the task pool ([`rups_core::pool`]); results land in task order,
+//!    so the output is deterministic for any worker count.
 //!
 //! Phases 1–4 are sequential and deterministic; phase 5 is the only
 //! parallel section and each fix query is a pure function of the
@@ -28,7 +28,6 @@
 //! differential proof against an unsharded reference loop).
 
 use crate::cell::{CellIndex, CellStats};
-use crate::sched::{self, StealStats};
 use crate::shard::{RoutedBeacon, ShardConfig, ShardSet, RELAY_ID_BASE};
 use rups_core::config::RupsConfig;
 use rups_core::error::RupsError;
@@ -36,6 +35,7 @@ use rups_core::geo::GeoSample;
 use rups_core::gsm::PowerVector;
 use rups_core::inbox::{InboxConfig, SnapshotInbox};
 use rups_core::pipeline::{ContextSnapshot, GradedFix, RupsNode};
+use rups_core::pool;
 use rups_core::quality::{self, QualityConfig};
 use rups_core::testfield;
 use rups_fuse::{FixGraph, FuseConfig, Fuser};
@@ -167,6 +167,20 @@ pub struct FusedEpoch {
     pub mean_abs_err_m: f64,
 }
 
+/// What the query phase's task pool did, for telemetry and the scaling
+/// figure.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StealStats {
+    /// Fix queries executed in the batch.
+    pub tasks: u64,
+    /// Always 0: pool workers claim single task indices from one shared
+    /// counter, so no task is ever moved between workers. Kept so
+    /// existing readers of the field keep building.
+    pub steals: u64,
+    /// Fix queries executed by each worker (length = worker count).
+    pub per_worker: Vec<u64>,
+}
+
 /// Everything one measured epoch produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochOutcome {
@@ -180,7 +194,7 @@ pub struct EpochOutcome {
     /// Fix queries actually scheduled (candidates within radius with a
     /// fresh snapshot in the observer's inbox).
     pub tasks: usize,
-    /// Scheduler statistics.
+    /// Task-pool statistics.
     pub steals: StealStats,
     /// Vehicles migrated between shards this epoch.
     pub rehomes: usize,
@@ -490,16 +504,16 @@ impl FleetSim {
         }
 
         // Query: build the task list in globally sorted order, then drain
-        // it with the work-stealing scheduler.
+        // it with the task pool.
         let candidates = self.index.candidate_count();
-        let mut fresh_by_observer: BTreeMap<u64, BTreeMap<u64, ContextSnapshot>> = BTreeMap::new();
+        let mut fresh_by_observer: BTreeMap<u64, BTreeMap<u64, &ContextSnapshot>> = BTreeMap::new();
         for id in self.shards.vehicle_ids() {
             let home = self.shards.home_of(id).unwrap();
             let inbox = &self.shards.shard(home).vehicles[&id].inbox;
             let mut by_sender = BTreeMap::new();
             for snap in inbox.fresh(t) {
                 if let Some(from) = snap.vehicle_id {
-                    by_sender.insert(from, snap.clone());
+                    by_sender.insert(from, snap);
                 }
             }
             fresh_by_observer.insert(id, by_sender);
@@ -523,7 +537,7 @@ impl FleetSim {
         let n_tasks = tasks.len();
         let qcfg = self.qcfg;
         let started = std::time::Instant::now();
-        let (results, steals) = sched::run_tasks(&tasks, self.cfg.workers, |task| {
+        let (results, per_worker) = pool::run_tasks(&tasks, self.cfg.workers, |task| {
             task.node.fix_distance(task.snap).map(|fix| GradedFix {
                 report: quality::assess(&fix, &qcfg),
                 fix,
@@ -553,7 +567,11 @@ impl FleetSim {
             fixes,
             candidates,
             tasks: n_tasks,
-            steals,
+            steals: StealStats {
+                tasks: n_tasks as u64,
+                steals: 0,
+                per_worker,
+            },
             rehomes,
             relayed,
             query_wall_s,

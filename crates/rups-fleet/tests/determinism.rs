@@ -1,12 +1,12 @@
 //! Differential proof of the sharded layer's determinism claim.
 //!
-//! Part A: the same fleet configuration run with 1, 2 and 4 scheduler
+//! Part A: the same fleet configuration run with 1, 2 and 4 query
 //! workers — under bursty link faults — must produce bit-identical
 //! per-epoch fix sets. Worker count may only change wall-clock time and
-//! steal counts, never results.
+//! the per-worker task split, never results.
 //!
 //! Part B: with ideal links, the full sharded machinery (cell index,
-//! cross-shard routing, relays, re-homing, work stealing) must produce
+//! cross-shard routing, relays, re-homing, the task pool) must produce
 //! exactly the fixes of a straight-line unsharded reference loop that
 //! delivers every in-radius beacon directly and queries a sorted double
 //! loop sequentially. Sharding is an execution strategy, not a model
@@ -193,7 +193,7 @@ fn reference_run(cfg: &FleetConfig) -> Vec<Vec<RefFix>> {
 #[test]
 fn sharded_run_matches_unsharded_reference() {
     // Ideal links so delivery sets are provably equal; multiple shards,
-    // multiple workers and cell_m == radius_m so routing, stealing and
+    // multiple workers and cell_m == radius_m so routing, the pool and
     // re-homing all actually fire while matching the reference.
     let cfg = FleetConfig {
         workers: 2,
