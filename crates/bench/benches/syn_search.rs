@@ -6,6 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rups_bench::{bench_config, synthetic_context};
+use rups_core::error::RupsError;
 use rups_core::syn::find_best_syn;
 use std::hint::black_box;
 
@@ -54,10 +55,31 @@ fn bench_window_channels(c: &mut Criterion) {
     g.finish();
 }
 
+/// The channel bound's worst case: an unrelated road at the paper's
+/// geometry (194 channels, 1000 m contexts, 85 m × 45-channel window) ends
+/// in `NoSynPoint`, so no placement retires and the seed probe and the live
+/// list are pure overhead.
+fn bench_unrelated(c: &mut Criterion) {
+    let mut g = c.benchmark_group("syn_search");
+    g.sample_size(10);
+    let cfg = bench_config(194, 85, 45);
+    let a = synthetic_context(4, 0, 1000, 194);
+    let b = synthetic_context(4, 100_000, 1000, 194);
+    assert!(matches!(
+        find_best_syn(&a, &b, &cfg),
+        Err(RupsError::NoSynPoint { .. })
+    ));
+    g.bench_function("unrelated", |bench| {
+        bench.iter(|| black_box(find_best_syn(black_box(&a), black_box(&b), &cfg)))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_context_length,
     bench_window_length,
-    bench_window_channels
+    bench_window_channels,
+    bench_unrelated
 );
 criterion_main!(benches);

@@ -18,11 +18,11 @@
 //!   in steady state.
 //!
 //! Every directed pass runs the one dense scan of [`crate::syn_fast`] —
-//! rolling statistics with the exact pruned peak — and falls back to the
-//! reference scan when a selected row is non-finite. Results are
-//! **bit-identical** to [`crate::syn::find_syn_points`]: both run the same
-//! [`crate::syn`] pass helper; the engine only changes *where* the inputs
-//! come from. Cache-hit and scratch-reuse counters are exported via
+//! rolling statistics with the exact channel bound and pruned peak — and
+//! falls back to the reference scan when a selected row is non-finite.
+//! Results are **bit-identical** to [`crate::syn::find_syn_points`]: both
+//! run the same [`crate::syn`] pass helper; the engine only changes *where*
+//! the inputs come from. Cache-hit and scratch-reuse counters are exported via
 //! [`SynQueryEngine::stats`] for the bench harness.
 
 use crate::config::RupsConfig;
@@ -74,9 +74,10 @@ pub struct EngineStats {
     /// Directed passes scanned (rolling scan, or the reference scan when a
     /// selected row is non-finite).
     pub reference_passes: u64,
-    /// Window placements whose mean-profile correlation the pruned peak
-    /// search skipped because their exact score upper bound could not beat
-    /// the running best (rolling passes only).
+    /// Window placements retired by an exact score upper bound, each
+    /// counted once: by the channel bound (no dot products for the
+    /// remaining channels) or, among the survivors, by the pruned peak
+    /// search (no mean-profile correlation). Rolling passes only.
     pub pruned_placements: u64,
 }
 

@@ -170,24 +170,29 @@ pub(crate) fn peak(scores: &[f64]) -> Option<Peak> {
         }
     }
     let (i, s) = best?;
-    // Parabolic interpolation around the peak for sub-metre resolution.
     let refine = if i > 0 && i + 1 < scores.len() {
-        let l = scores[i - 1];
-        let r = scores[i + 1];
-        if l.is_nan() || r.is_nan() {
-            0.0
-        } else {
-            let denom = l - 2.0 * s + r;
-            if denom.abs() < 1e-12 {
-                0.0
-            } else {
-                (0.5 * (l - r) / denom).clamp(-0.5, 0.5)
-            }
-        }
+        parabolic_refine(scores[i - 1], s, scores[i + 1])
     } else {
         0.0
     };
     Some((i, s, refine))
+}
+
+/// Parabolic interpolation of a peak scoring `s` between neighbours scoring
+/// `l` and `r`, for sub-metre resolution: the vertex offset in
+/// `[-0.5, 0.5]`, or 0 when a neighbour is undefined or the parabola is
+/// flat. Shared with [`crate::syn_fast`] so both peak searches refine
+/// identically.
+pub(crate) fn parabolic_refine(l: f64, s: f64, r: f64) -> f64 {
+    if l.is_nan() || r.is_nan() {
+        return 0.0;
+    }
+    let denom = l - 2.0 * s + r;
+    if denom.abs() < 1e-12 {
+        0.0
+    } else {
+        (0.5 * (l - r) / denom).clamp(-0.5, 0.5)
+    }
 }
 
 /// Adaptive window sizing (§V-C): use the configured length when both
